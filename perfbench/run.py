@@ -15,11 +15,19 @@ counts, error rate and output digests.  With `--trace 0` the metrics are
 the end-to-end ones of BENCHMARK.json; with `--trace 1` the first half of
 the run is untraced, the second half traced, and the metrics are the
 per-layer ones plus `trace.overhead_s` (traced minus untraced `wall_s`).
+
+Every job of a run repeats the same items, and each item's latency is its
+mean time over the run's jobs; `item_p50_ms` and `item_p99_ms` are
+percentiles of these per-item means, so every distinct item is one sample.
+On a shared host the CPU throughput changes by 20-100% for seconds to
+minutes at a time, and the mean tracks the run's average speed smoothly,
+where the best or the median of the repeats jumps between speed levels.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -40,7 +48,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 MODULES = ("groups", "graphs", "counting", "sumsets", "containers", "constructions",
            "verify", "cli")
-SETUP_REPEATS = 5
+SETUP_REPEATS = 3
+
+
+def own_modules() -> dict:
+    return {name: m for name, m in sys.modules.items()
+            if name == "cayleycount" or name.startswith("cayleycount.")}
 
 
 class Package(SimpleNamespace):
@@ -48,43 +61,70 @@ class Package(SimpleNamespace):
 
     @staticmethod
     def modules() -> list:
-        return [m for name, m in sys.modules.items()
-                if name == "cayleycount" or name.startswith("cayleycount.")]
+        return list(own_modules().values())
 
 
 def fresh_import() -> Package:
-    for name in [n for n in sys.modules if n == "cayleycount" or n.startswith("cayleycount.")]:
+    for name in own_modules():
         del sys.modules[name]
     return Package(**{m: importlib.import_module(f"cayleycount.{m}") for m in MODULES})
 
 
-def setup(warm_orders: int) -> tuple[Package, list[float]]:
+def setup_once(warm_orders: int) -> tuple[Package, float]:
     """Import the package and fill the lazy addition tables of every group
-    the workload reaches, SETUP_REPEATS times; the last import is kept.
-    numpy stays imported after the first repeat."""
+    the workload reaches."""
+    started = time.perf_counter()
+    cc = fresh_import()
+    for order in range(2, warm_orders + 1):
+        for spec in cc.groups.enumerate_abelian_groups(order):
+            cc.groups.add_ids(spec, 0, 0)
+    return cc, time.perf_counter() - started
+
+
+def setup(warm_orders: int) -> tuple[Package, list[float]]:
+    """SETUP_REPEATS set-ups; the last import is kept.  numpy stays
+    imported after the first."""
     times = []
     for _ in range(SETUP_REPEATS):
-        started = time.perf_counter()
-        cc = fresh_import()
-        for order in range(2, warm_orders + 1):
-            for spec in cc.groups.enumerate_abelian_groups(order):
-                cc.groups.add_ids(spec, 0, 0)
-        times.append(time.perf_counter() - started)
+        cc, elapsed = setup_once(warm_orders)
+        times.append(elapsed)
     return cc, times
+
+
+def setup_aside(warm_orders: int) -> float:
+    """Time one more set-up and drop what it imported, so that the package
+    the workload holds stays the one in `sys.modules`."""
+    kept = own_modules()
+    try:
+        return setup_once(warm_orders)[1]
+    finally:
+        for name in own_modules():
+            del sys.modules[name]
+        sys.modules.update(kept)
+        gc.collect()
 
 
 def quantile(values: list[float], q: int) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
-def run_jobs(workload, seconds: float):
-    """Repeat the job while another one fits in the time box (at least one)."""
+def item_means(results) -> list[float]:
+    """Each item's mean latency over the jobs; every job runs the same
+    items in the same order."""
+    return [statistics.fmean(times) for times in zip(*(r.latencies for r in results), strict=True)]
+
+
+def run_jobs(workload, seconds: float, between=None):
+    """Repeat the job while another one fits in the time box (at least one),
+    calling `between` after each job."""
     started = time.perf_counter()
     results, walls = [], []
     while True:
         t0 = time.perf_counter()
         results.append(workload.job())
         walls.append(time.perf_counter() - t0)
+        if between:
+            between()
         if time.perf_counter() - started + statistics.median(walls) > seconds:
             return results, walls
 
@@ -109,25 +149,27 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> tuple[dic
         if trace:
             results, walls, metrics, extra = run_traced(cc, name, workload, seconds)
         else:
-            results, walls = run_jobs(workload, seconds)
+            # One more set-up after each job: the host's speed shifts within
+            # seconds, so set-ups spread over the run give a steadier median
+            # than set-ups made back to back.
+            results, walls = run_jobs(
+                workload, seconds, lambda: setup_times.append(setup_aside(cls.warm_orders)))
             extra = {}
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    latencies = [x for r in results for x in r.latencies]
+    attempted = sum(len(r.latencies) for r in results)
     failures = [f for r in results for f in r.failures]
     digests = {r.digest.hexdigest() for r in results}
     if len(digests) > 1:
         failures.append(f"outputs differ between jobs of one seed: {sorted(digests)}")
-    p99 = quantile(latencies, 99)
+    items = item_means(results)
+    p99 = quantile(items, 99)
     if not trace:
         metrics = {
             "setup_s": (statistics.median(setup_times), "s"),
-            # On a shared host the CPU throughput can shift by ~30% for 10-30 s
-            # at a time; a median of job times snaps to one level, the mean
-            # weighs the levels by time and so varies less between runs.
             "wall_s": (statistics.fmean(walls), "s"),
-            "item_p50_ms": (1000 * quantile(latencies, 50), "ms"),
+            "item_p50_ms": (1000 * quantile(items, 50), "ms"),
             "item_p99_ms": (1000 * p99, "ms"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
         }
@@ -138,17 +180,16 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> tuple[dic
                   "hash_randomization": sys.flags.hash_randomization},
         "setup_s_each": setup_times,
         "jobs": len(results), "wall_s_each": walls,
-        "items_per_job": len(results[0].latencies),
-        "item_samples": len(latencies),
-        "item_samples_beyond_p99": sum(x > p99 for x in latencies),
-        "error_rate": len(failures) / len(latencies),
+        "item_samples": len(items),
+        "item_samples_beyond_p99": sum(x > p99 for x in items),
+        "error_rate": len(failures) / attempted,
         "failures": failures[:10],
         "output_digest": sorted(digests)[0],
     }
     report.update(extra)
     result = {
         "correct": not failures,
-        "attempted": len(latencies),
+        "attempted": attempted,
         "failed": len(failures),
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
     }

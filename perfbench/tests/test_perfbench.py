@@ -77,6 +77,16 @@ def test_refuses_tree_without_sources(tmp_path):
     assert proc.stdout == ""
 
 
+def test_setup_aside_keeps_the_package_in_use():
+    sys.path.insert(0, str(ROOT / "src"))
+    import run
+    cc, _ = run.setup(4)
+    kept = run.own_modules()
+    assert run.setup_aside(4) > 0
+    assert run.own_modules() == kept
+    assert sys.modules["cayleycount.groups"] is cc.groups
+
+
 def test_abelian_group_counts():
     # OEIS A000688
     expected = {2: 1, 4: 2, 8: 3, 12: 2, 16: 5, 32: 7, 36: 4, 48: 5, 64: 11}

@@ -54,7 +54,7 @@ class Census:
     graph: the branching engine must equal the 2^V brute force."""
 
     warm_orders = 16
-    graphs_per_job = 500
+    graphs_per_job = 1010            # at least 10 graphs lie beyond the p99
 
     def __init__(self, cc, seed: int, workdir: Path):
         self.cc = cc
@@ -140,11 +140,13 @@ class Witness:
                  for n in range(2, chain + 1))),
             ("thinning", dict(seeds=1), 1),
         ) + tuple(
-            # 2000 growth trials as 2000 seeded one-trial calls: the item
+            # 6000 growth trials as 6000 seeded one-trial calls: the item
             # latencies form a population, so their percentiles move smoothly
-            # instead of jumping between whole sweeps
+            # instead of jumping between whole sweeps.  The trial costs are
+            # heavy-tailed; with 60 items beyond the p99, which trials the
+            # seed draws moves it by a few percent only
             ("growth", dict(trials=1, max_order=64, seed=10_000 * seed + k), 1)
-            for k in range(2000))
+            for k in range(6000))
 
     def job(self) -> JobResult:
         res = JobResult()
