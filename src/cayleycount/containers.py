@@ -24,6 +24,7 @@ from .graphs import (
     bits_list,
     heavy_neighborhood,
     iter_bits,
+    mask_of,
 )
 from .sumsets import chain_witness_search
 
@@ -487,17 +488,14 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
                                  rec.boundary.bit_count() / denom if denom else None)
 
     spec = graph.group
-    gens = graph.gens
     adj = graph.adj
     x_side = rec.side
     y_side = graph.full_mask() & ~x_side
 
     # trim the closure to a core with controlled growth, then re-close it
-    chain = chain_witness_search(spec, bits_list(rec.closure), gens.ids,
-                                 k=3, c=c, mode="greedy")
-    core = 0
-    for v in chain.chain[-1]:
-        core |= 1 << v
+    d_mask = mask_of(graph.gens.ids)
+    chain = chain_witness_search(spec, rec.closure, d_mask, k=3, c=c, mode="greedy")
+    core = mask_of(chain.chain[-1])
     g_core = graph.nbhd(core)
     core_closed = 0
     for v in iter_bits(x_side):
@@ -528,11 +526,9 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
     outside = y_side & ~g_core
     m_prime = outside
     if outside:
-        chain_out = chain_witness_search(spec, bits_list(outside), gens.ids,
+        chain_out = chain_witness_search(spec, outside, d_mask,
                                          k=2, c=c * math.log2(d), mode="greedy")
-        m_prime = 0
-        for v in chain_out.chain[-1]:
-            m_prime |= 1 << v
+        m_prime = mask_of(chain_out.chain[-1])
     a2 = graph.nbhd_iter(m_prime, 3) & core
     reachable = light & graph.nbhd_iter(m_prime, 2)
     z3 = 0

@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import exp
 from typing import Iterator
 
-import numpy as np
-
 from .errors import InstanceTooLargeError, InvalidInputError
 from .graphs import ClosedSetRecord, Graph, bits_list, closure, iter_bits
 
@@ -112,6 +110,10 @@ def count_independent_sets_bruteforce(graph: Graph,
             f"{v_count} vertices exceeds brute-force budget {budget}")
     if v_count == 0:
         return 1
+    # imported here, the one place that needs it, so that the sumset and
+    # container paths do not load numpy (about 14 MB resident)
+    import numpy as np
+
     # each edge is charged to its higher endpoint
     low_adj = [graph.adj[v] & ((1 << v) - 1) for v in range(v_count)]
     total = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
@@ -34,8 +34,9 @@ class GroupSpec:
         if not self.factors or any(m < 2 for m in self.factors):
             raise InvalidGroupError(f"cyclic factors must all be >= 2, got {self.factors}")
 
-    @property
+    @cached_property
     def order(self) -> int:
+        # cached outside the fields: equality and hashing compare `factors`
         return prod(self.factors)
 
     def __str__(self) -> str:
@@ -101,16 +102,23 @@ def _partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_abelian_groups(order: int) -> list[GroupSpec]:
-    """One GroupSpec per isomorphism class of Abelian groups of the order."""
+    """One GroupSpec per isomorphism class of Abelian groups of the order.
+
+    A fresh list on every call; the classes are computed once per order."""
     if order < 2:
         raise InvalidGroupError("order must be >= 2")
+    return list(_abelian_groups(order))
+
+
+@lru_cache(maxsize=None)
+def _abelian_groups(order: int) -> tuple[GroupSpec, ...]:
     primes = _factorize(order)
     per_prime = [[(p, part) for part in _partitions(e)] for p, e in sorted(primes.items())]
     specs = set()
     for combo in product(*per_prime):
         pp_factors = [p ** e for p, part in combo for e in part]
         specs.add(make_group(pp_factors))
-    return sorted(specs, key=lambda s: s.factors)
+    return tuple(sorted(specs, key=lambda s: s.factors))
 
 
 # -- element representations -------------------------------------------------
@@ -178,8 +186,38 @@ def neg_id(spec: GroupSpec, a: int) -> int:
     return coords_to_id(spec, [-x for x in id_to_coords(spec, a)])
 
 
-def zero_id(spec: GroupSpec) -> int:
-    return 0
+@lru_cache(maxsize=None)
+def _rotation(spec: GroupSpec, factor: int, shift: int) -> tuple[int, int, int, int]:
+    """Adding `shift` to coordinate `factor` of every element of a bitmask
+    rotates each block of m * s bits (m the factor, s its stride): the bits
+    `lo`, with coordinate below m - shift, move up by `up`; the rest, `hi`,
+    wrap down by `down`.  Built on first use: at most sum(m_i) per group."""
+    m, s = spec.factors[factor], _strides(spec)[factor]
+    full = (1 << spec.order) - 1
+    # bit 0 of every block (a block repunit) times the block's low run
+    lo = full // ((1 << m * s) - 1) * ((1 << (m - shift) * s) - 1)
+    return lo, full ^ lo, shift * s, (m - shift) * s
+
+
+class _Translations(dict):
+    """Element id -> its rotations, one per nonzero coordinate."""
+
+    def __init__(self, spec: GroupSpec):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, a: int) -> tuple[tuple[int, int, int, int], ...]:
+        coords = id_to_coords(self.spec, a)
+        self[a] = steps = tuple(_rotation(self.spec, i, c) for i, c in enumerate(coords) if c)
+        return steps
+
+
+@lru_cache(maxsize=None)
+def translations(spec: GroupSpec) -> _Translations:
+    """Per element id a, the rotations that turn a bitmask (bit x = element
+    id x) into the mask of its translate by a: applied in turn, each maps
+    mask to ((mask & lo) << up) | ((mask & hi) >> down)."""
+    return _Translations(spec)
 
 
 def subgroup_generated(spec: GroupSpec, gens: Iterable[int]) -> frozenset[int]:

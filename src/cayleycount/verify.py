@@ -29,7 +29,8 @@ from .constructions import (
     odd_circulant_structure_check,
 )
 from .errors import RetriesExhaustedError
-from .graphs import CayleyGraph, build_cayley, edge_connectivity, iter_bits, times_k2
+from .graphs import (CayleyGraph, bits_list, build_cayley, edge_connectivity, iter_bits,
+                     mask_of, times_k2)
 from .groups import GeneratorSet, GroupSpec
 
 
@@ -275,6 +276,14 @@ def sweep_main_trend(max_order: int = 16) -> SweepResult:
 # -- sumset suites ---------------------------------------------------------------------
 
 
+def sets_with_zero(order: int, below: int) -> list[int]:
+    """Masks of {0} u C for every set C of fewer than `below` of the ids
+    1..order-1, by size and then lexicographically: the element sets of a
+    group of that order up to translation, the corpus of the sumset sweeps."""
+    bits = [1 << x for x in range(1, order)]
+    return [1 | sum(c) for size in range(below) for c in combinations(bits, size)]
+
+
 def sweep_olson(max_order: int = 10) -> SweepResult:
     """The stabilize-or-expand disjunction for every (M, N) pair, every group
     of order <= max_order.  Both sides are swept over subsets containing 0:
@@ -282,17 +291,13 @@ def sweep_olson(max_order: int = 10) -> SweepResult:
     itself shifts N to contain 0, so this covers every pair."""
     res = SweepResult("olson")
     for order in range(2, max_order + 1):
+        sets = sets_with_zero(order, order)
         for spec in groups.enumerate_abelian_groups(order):
-            rest = list(range(1, order))
-            for m_size in range(0, order):
-                for m_rest in combinations(rest, m_size):
-                    m_set = frozenset((0,) + m_rest)
-                    for n_size in range(0, order):
-                        for n_rest in combinations(rest, n_size):
-                            n_set = frozenset((0,) + n_rest)
-                            res.checked += 1
-                            if not sumsets.olson_check(spec, m_set, n_set).holds:
-                                res.violations += 1
+            for m_set in sets:
+                for n_set in sets:
+                    res.checked += 1
+                    if not sumsets.olson_check(spec, m_set, n_set).holds:
+                        res.violations += 1
     return res
 
 
@@ -301,12 +306,8 @@ def sweep_prp(max_order: int = 12, max_m: int = 4, max_d: int = 4, j: int = 2) -
     given size caps (swept up to translation: both sets contain 0)."""
     res = SweepResult("prp")
     for order in range(2, max_order + 1):
+        m_sets, d_sets = sets_with_zero(order, max_m), sets_with_zero(order, max_d)
         for spec in groups.enumerate_abelian_groups(order):
-            rest = list(range(1, order))
-            m_sets = [frozenset((0,) + c) for s in range(0, max_m)
-                      for c in combinations(rest, s)]
-            d_sets = [frozenset((0,) + c) for s in range(0, max_d)
-                      for c in combinations(rest, s)]
             for d_set in d_sets:
                 for m_set in m_sets:
                     res.checked += 1
@@ -323,12 +324,8 @@ def sweep_chain(max_order: int = 12, max_m: int = 8, max_d: int = 3,
     instance within the caps, swept up to translation."""
     res = SweepResult("chain")
     for order in range(2, max_order + 1):
+        m_sets, d_sets = sets_with_zero(order, max_m), sets_with_zero(order, max_d)
         for spec in groups.enumerate_abelian_groups(order):
-            rest = list(range(1, order))
-            d_sets = [frozenset((0,) + cd) for s in range(0, max_d)
-                      for cd in combinations(rest, s)]
-            m_sets = [frozenset((0,) + cm) for s in range(0, min(max_m, order))
-                      for cm in combinations(rest, s)]
             for d_set in d_sets:
                 for m_set in m_sets:
                     for k in range(1, max_k + 1):
@@ -338,7 +335,7 @@ def sweep_chain(max_order: int = 12, max_m: int = 8, max_d: int = 3,
                         if not wit.success:
                             res.violations += 1
                             res.details.setdefault("failures", []).append(
-                                (order, sorted(m_set), sorted(d_set), k))
+                                (order, bits_list(m_set), bits_list(d_set), k))
     return res
 
 
@@ -357,20 +354,19 @@ def sweep_growth(trials: int = 10000, max_order: int = 64, max_i: int = 3,
         size_target = rng.randint(1, max(1, order // 2))
         for _ in range(size_target):
             half.add(rng.randrange(1, order))
-        d_set = set()
+        d_set = 0
         for x in half:
-            d_set.add(x)
-            d_set.add(groups.neg_id(spec, x))
+            d_set |= 1 << x | 1 << groups.neg_id(spec, x)
         if rng.random() < 0.3:
-            d_set.add(0)
+            d_set |= 1
         m_size = rng.randint(1, max(1, order // 2))
-        m_set = set(rng.sample(range(order), m_size))
+        m_set = mask_of(rng.sample(range(order), m_size))
         i = rng.randint(2, max_i)
         res.checked += 1
         if not sumsets.iterated_growth_check(spec, m_set, d_set, i).holds:
             res.violations += 1
             res.details.setdefault("failures", []).append(
-                (spec.factors, sorted(m_set), sorted(d_set), i))
+                (spec.factors, bits_list(m_set), bits_list(d_set), i))
     return res
 
 

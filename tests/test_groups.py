@@ -26,6 +26,14 @@ def test_make_group_basic():
     assert make_group([2, 4]).order == 8
 
 
+def test_group_spec_order_is_cached_outside_the_fields():
+    spec = make_group([2, 4])
+    assert spec.order == 8 and spec.order == 8
+    fresh = make_group([2, 4])
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh)
+
+
 def test_make_group_rejects_degenerate_factors():
     with pytest.raises(InvalidGroupError):
         make_group([1, 3])
@@ -71,6 +79,14 @@ def test_enumerate_abelian_groups_small_orders():
     assert [s.factors for s in enumerate_abelian_groups(8)] == [(2, 2, 2), (2, 4), (8,)]
     assert [s.factors for s in enumerate_abelian_groups(6)] == [(6,)]
     assert [s.factors for s in enumerate_abelian_groups(2)] == [(2,)]
+
+
+def test_enumerate_abelian_groups_returns_a_fresh_list():
+    first = enumerate_abelian_groups(8)
+    first.clear()
+    assert [s.factors for s in enumerate_abelian_groups(8)] == [(2, 2, 2), (2, 4), (8,)]
+    with pytest.raises(InvalidGroupError):
+        enumerate_abelian_groups(1)
 
 
 def test_enumerate_abelian_groups_counts_match_partition_oracle():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleycount.errors import InvalidInputError, SearchSpaceTooLargeError
-from cayleycount.groups import GeneratorSet, make_group, symmetrize
+from cayleycount.graphs import mask_of
+from cayleycount.groups import GeneratorSet, add_ids, make_group, symmetrize
 from cayleycount.sumsets import (
     ThinningConfig,
     basic_expansion_check,
@@ -23,84 +24,115 @@ from cayleycount.sumsets import (
 
 def test_sumset_examples():
     z4 = make_group([4])
-    assert sumset(z4, {0, 1}, {0, 1}) == frozenset({0, 1, 2})
+    assert sumset(z4, mask_of({0, 1}), mask_of({0, 1})) == mask_of({0, 1, 2})
     z8 = make_group([8])
-    assert sumset(z8, {1, 7}, {1, 7}) == frozenset({0, 2, 6})
-    assert sumset(z8, {1, 2, 3}, set()) == frozenset()
-    assert sumset(z8, {3, 5}, {0}) == frozenset({3, 5})
+    assert sumset(z8, mask_of({1, 7}), mask_of({1, 7})) == mask_of({0, 2, 6})
+    assert sumset(z8, mask_of({1, 2, 3}), mask_of(set())) == mask_of(set())
+    assert sumset(z8, mask_of({3, 5}), mask_of({0})) == mask_of({3, 5})
 
 
 def test_iterated_sumset_conventions():
     z8 = make_group([8])
-    assert iterated_sumset(z8, [0], {1, 7}, 0) == frozenset({0})
-    assert iterated_sumset(z8, [0], {1, 7}, 2) == frozenset({0, 2, 6})
+    assert iterated_sumset(z8, mask_of([0]), mask_of({1, 7}), 0) == mask_of({0})
+    assert iterated_sumset(z8, mask_of([0]), mask_of({1, 7}), 2) == mask_of({0, 2, 6})
+
+
+def _oracle_sumset(spec, a, b):
+    return frozenset(add_ids(spec, x, y) for x in a for y in b)
+
+
+def _oracle_iterated(spec, a, d, i):
+    out = frozenset(a)
+    for _ in range(i):
+        out = _oracle_sumset(spec, out, d)
+    return out
+
+
+# cyclic, non-cyclic, and without addition tables (Z1024 is cyclic,
+# Z2xZ4096 is above the table order limit)
+ORACLE_GROUPS = [make_group(f) for f in (
+    [7], [12], [2, 2], [2, 2, 2, 2], [2, 4, 8], [3, 6], [4, 4], [2, 6, 12], [1024],
+    [2, 4096])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ORACLE_GROUPS), st.data())
+def test_mask_sumset_matches_add_ids_oracle(spec, data):
+    def draw_set():
+        return data.draw(st.sets(st.integers(0, spec.order - 1), max_size=8))
+    a, b, d = draw_set(), draw_set(), draw_set()
+    i = data.draw(st.integers(0, 3))
+    got = sumset(spec, mask_of(a), mask_of(b))
+    assert got == mask_of(_oracle_sumset(spec, a, b))
+    got = iterated_sumset(spec, mask_of(a), mask_of(d), i)
+    assert got == mask_of(_oracle_iterated(spec, a, d, i))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 30), st.data())
 def test_sumset_size_invariants(order, data):
     spec = make_group([order])
-    a = frozenset(data.draw(st.sets(st.integers(0, order - 1), min_size=1, max_size=6)))
-    b = frozenset(data.draw(st.sets(st.integers(0, order - 1), min_size=1, max_size=6)))
+    a = mask_of(data.draw(st.sets(st.integers(0, order - 1), min_size=1, max_size=6)))
+    b = mask_of(data.draw(st.sets(st.integers(0, order - 1), min_size=1, max_size=6)))
     ab = sumset(spec, a, b)
-    assert len(ab) >= max(len(a), len(b))
+    assert ab.bit_count() >= max(a.bit_count(), b.bit_count())
     a2b = sumset(spec, ab, b)
-    assert len(a2b) >= len(ab)
+    assert a2b.bit_count() >= ab.bit_count()
 
 
 def test_growth_examples():
     z16 = make_group([16])
-    rep = iterated_growth_check(z16, {0}, {1, 15}, 2)
+    rep = iterated_growth_check(z16, mask_of({0}), mask_of({1, 15}), 2)
     assert (rep.lhs, rep.rhs, rep.holds) == (3, 5, True)
     z32 = make_group([32])
-    rep = iterated_growth_check(z32, {0, 4, 9}, {5}, 3)
+    rep = iterated_growth_check(z32, mask_of({0, 4, 9}), mask_of({5}), 3)
     assert rep.t == 0 and rep.lhs == rep.m and rep.holds
     with pytest.raises(InvalidInputError):
-        iterated_growth_check(z16, {0}, set(), 2)
+        iterated_growth_check(z16, mask_of({0}), mask_of(set()), 2)
     with pytest.raises(InvalidInputError):
-        iterated_growth_check(z16, {0}, {1}, 1)
+        iterated_growth_check(z16, mask_of({0}), mask_of({1}), 1)
 
 
 def test_prp_examples():
     z64 = make_group([64])
-    wit = prp_witness_search(z64, {0, 1, 2}, {0, 1}, 2)
+    wit = prp_witness_search(z64, mask_of({0, 1, 2}), mask_of({0, 1}), 2)
     assert wit.alpha == Fraction(4, 3)
     assert wit.witness == frozenset({0, 1, 2})
     assert wit.lhs == 5 and wit.lhs <= wit.rhs
-    wit = prp_witness_search(z64, {0, 7, 9}, {0}, 3)
+    wit = prp_witness_search(z64, mask_of({0, 7, 9}), mask_of({0}), 3)
     assert wit.alpha == 1 and wit.witness == frozenset({0, 7, 9})
     with pytest.raises(SearchSpaceTooLargeError):
-        prp_witness_search(z64, set(range(30)), {0, 1}, 2)
+        prp_witness_search(z64, mask_of(set(range(30))), mask_of({0, 1}), 2)
     with pytest.raises(InvalidInputError):
-        prp_witness_search(z64, set(), {0}, 2)
+        prp_witness_search(z64, mask_of(set()), mask_of({0}), 2)
 
 
 def test_olson_examples():
     z5 = make_group([5])
-    rep = olson_check(z5, {0}, {0, 1})
+    rep = olson_check(z5, mask_of({0}), mask_of({0, 1}))
     assert rep.branch == "expanded" and rep.holds
     z4 = make_group([4])
-    rep = olson_check(z4, {0, 2}, {0, 2})
+    rep = olson_check(z4, mask_of({0, 2}), mask_of({0, 2}))
     assert rep.branch == "stabilized" and rep.holds
     # the shifted path: N without 0
     z7 = make_group([7])
-    rep = olson_check(z7, {0, 1}, {2, 3})
+    rep = olson_check(z7, mask_of({0, 1}), mask_of({2, 3}))
     assert rep.holds
     with pytest.raises(InvalidInputError):
-        olson_check(z5, set(), {0})
+        olson_check(z5, mask_of(set()), mask_of({0}))
 
 
 def test_olson_shift_invariance():
     z9 = make_group([9])
-    base = olson_check(z9, {0, 1, 5}, {0, 2})
-    shifted = olson_check(z9, {0, 1, 5}, {4, 6})  # N + 4
+    base = olson_check(z9, mask_of({0, 1, 5}), mask_of({0, 2}))
+    shifted = olson_check(z9, mask_of({0, 1, 5}), mask_of({4, 6}))  # N + 4
     assert base.branch == shifted.branch
     assert base.sum_size == shifted.sum_size
 
 
 def test_chain_examples():
     z64 = make_group([64])
-    wit = chain_witness_search(z64, {0, 1, 2, 3, 4}, {0, 1, 63}, 2, 4)
+    wit = chain_witness_search(z64, mask_of({0, 1, 2, 3, 4}), mask_of({0, 1, 63}), 2, 4)
     assert wit.success and wit.mode == "exhaustive"
     assert len(wit.chain) == 3
     assert wit.chain[0] >= wit.chain[1] >= wit.chain[2]
@@ -108,7 +140,7 @@ def test_chain_examples():
     for level, lhs, rhs in wit.bounds:
         assert lhs <= rhs
     # singleton generator: t = 0, the chain is M itself at every level
-    wit = chain_witness_search(z64, {0, 5, 11}, {7}, 2, 4)
+    wit = chain_witness_search(z64, mask_of({0, 5, 11}), mask_of({7}), 2, 4)
     assert wit.success
     assert all(s == wit.chain[0] for s in wit.chain)
     assert wit.t == 0
@@ -116,22 +148,23 @@ def test_chain_examples():
 
 def test_chain_greedy_mode():
     z64 = make_group([64])
-    wit = chain_witness_search(z64, set(range(20)), {0, 1, 63}, 2, 4, mode="greedy")
+    wit = chain_witness_search(z64, mask_of(set(range(20))), mask_of({0, 1, 63}), 2, 4,
+                               mode="greedy")
     assert wit.mode == "greedy"
     assert wit.success
     with pytest.raises(InvalidInputError):
-        chain_witness_search(z64, {0}, {1}, 2, c=2)
+        chain_witness_search(z64, mask_of({0}), mask_of({1}), 2, c=2)
 
 
 def test_sumset_stats():
     z8 = make_group([8])
-    st8 = sumset_stats(z8, {1, 7})
+    st8 = sumset_stats(z8, mask_of({1, 7}))
     assert st8.double == frozenset({0, 2, 6})
     assert st8.reps == {0: 1}
     # pair-count consistency: total representations = C(|D|, 2)
     z16 = make_group([16])
     d = {1, 3, 5, 11, 13, 15}
-    stats = sumset_stats(z16, d)
+    stats = sumset_stats(z16, mask_of(d))
     assert sum(stats.reps.values()) == len(list(combinations(d, 2)))
     assert stats.heavy(1.0) <= stats.double
     # representation pairs with the same sum are pairwise disjoint
@@ -143,10 +176,10 @@ def test_sumset_stats():
 
 def test_minimal_generating_subset():
     z1024 = make_group([1024])
-    s = minimal_generating_subset(z1024, symmetrize(z1024, range(1, 65)))
+    s = minimal_generating_subset(z1024, mask_of(symmetrize(z1024, range(1, 65))))
     assert s == [1]
     z8 = make_group([8])
-    s = minimal_generating_subset(z8, {2, 6, 3, 5})
+    s = minimal_generating_subset(z8, mask_of({2, 6, 3, 5}))
     assert len(s) <= 3
 
 
@@ -182,7 +215,7 @@ def test_thinning_warns_on_large_doubling():
 def test_expansion_report_c8():
     z8 = make_group([8])
     gens = GeneratorSet(z8, {1, 7})
-    rep = basic_expansion_check(z8, {0, 2}, gens)
+    rep = basic_expansion_check(z8, mask_of({0, 2}), gens)
     # M + 2D covers the whole side, so the doubling corollary is inapplicable
     assert not rep.doubling_from_expansion.applicable
     # D' = D default: |D + D| >= |2D| (1 - 1/log^2 d) trivially
@@ -192,7 +225,7 @@ def test_expansion_report_c8():
 def test_expansion_applicable_case():
     z32 = make_group([32])
     gens = GeneratorSet(z32, {1, 31})
-    rep = basic_expansion_check(z32, {0, 2}, gens)
+    rep = basic_expansion_check(z32, mask_of({0, 2}), gens)
     assert rep.doubling_from_expansion.applicable
     assert rep.doubling_from_expansion.holds
     # {0,2} contains u + D' for u = 1 and D' = D
@@ -212,7 +245,7 @@ def test_expansion_random_instances_hold_when_applicable():
             continue
         gens = GeneratorSet(spec, gens_ids)
         m = {rng.randrange(order) for _ in range(rng.randint(1, order // 4))}
-        rep = basic_expansion_check(spec, m, gens)
+        rep = basic_expansion_check(spec, mask_of(m), gens)
         for sub in (rep.doubling_from_expansion, rep.partial_doubling, rep.sixth_expansion):
             if sub.applicable:
                 assert sub.holds, (order, sorted(base), sorted(m))
