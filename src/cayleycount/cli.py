@@ -211,10 +211,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kwargs["max_order"] = args.max_order
     if args.suite in ("prp", "chain") and args.max_order:
         kwargs["max_order"] = args.max_order
+    # without --trials each sweep keeps its own default
     if args.suite == "growth":
-        kwargs["trials"] = args.trials
         kwargs["seed"] = args.seed
-    if args.suite == "thinning":
+        if args.trials is not None:
+            kwargs["trials"] = args.trials
+    if args.suite == "thinning" and args.trials is not None:
         kwargs["seeds"] = args.trials
     if args.suite in ("psi", "phi") and args.n and args.d:
         kwargs["instances"] = [(args.n, args.d)]
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=sorted(verify.ALL_SUITES))
     p_verify.add_argument("--max-order", type=int)
     p_verify.add_argument("--max-vertices", type=int)
-    p_verify.add_argument("--trials", type=int, default=10000)
+    p_verify.add_argument("--trials", type=int)
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--d", type=int)
     p_verify.set_defaults(func=cmd_verify)
@@ -302,7 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits with 2 on a usage error, which is the budget code here
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
     except (InstanceTooLargeError, SearchSpaceTooLargeError) as exc:

@@ -211,7 +211,7 @@ def maximal_set_from_intervals(ring: GadgetRing,
     g = ring.graph
     independent = all(g.adj[v] & m == 0 for v in iter_bits(m))
     outside = g.full_mask() & ~m
-    maximal = independent and all(g.adj[v] & m for v in iter_bits(outside))
+    maximal = independent and g.heavy(outside, m, 1) == outside
     c = len(ivs)
     report = MaximalSetReport(
         size=m.bit_count(),

@@ -22,6 +22,7 @@ from .graphs import (
     ClosedSetRecord,
     Graph,
     bits_list,
+    closure,
     heavy_neighborhood,
     iter_bits,
     mask_of,
@@ -106,6 +107,16 @@ def greedy_cover(universe: int, candidates: Sequence[int]) -> CoverResult:
     return CoverResult(chosen, covered, a_min, b_max, bound)
 
 
+def neighborhood_cover(graph: Graph, universe: int, pool: int) -> int:
+    """Greedy-cover `universe` by the neighborhoods of the vertices in
+    `pool`; the chosen pool vertices, as a mask (0 for an empty universe)."""
+    if not universe:
+        return 0
+    verts = bits_list(pool)
+    res = greedy_cover(universe, [graph.adj[v] for v in verts])
+    return mask_of(verts[i] for i in res.chosen)
+
+
 # -- contraction ---------------------------------------------------------------------
 
 
@@ -146,14 +157,7 @@ def contract(graph: Graph, c_mask: int, side: Optional[int] = None) -> Contracti
     if graph.parts is None:
         raise InvalidInputError("contraction requires a bipartite graph")
     if side is None:
-        if c_mask and c_mask & ~graph.parts[1] == 0:
-            side = graph.parts[1]
-        elif c_mask and c_mask & ~graph.parts[0] == 0:
-            side = graph.parts[0]
-        elif c_mask == 0:
-            side = graph.parts[1]
-        else:
-            raise InvalidInputError("C straddles both sides of the bipartition")
+        side = graph.side_of(c_mask, graph.parts[1])
     x_mask = graph.full_mask() & ~side
     y_mask = side
     if c_mask & ~y_mask:
@@ -175,18 +179,13 @@ def contract(graph: Graph, c_mask: int, side: Optional[int] = None) -> Contracti
             # u's neighbors are already interior to a single super-vertex
             continue
         ns = graph.nbhd(s_new)
-        nsd = 0
-        for y in iter_bits(ns):
-            if adj[y] & ~s_new == 0:
-                nsd |= 1 << y
+        nsd = graph.interior(ns, s_new)
         keep.append(SuperVertex(s_new, s_new | nsd, ns & ~nsd))
         supers = keep
         x_rem &= ~orig
     state = ContractionState(c_mask, x_rem, supers)
     # the never-absorbed vertices are exactly those with N(v) inside C
-    for v in iter_bits(x_mask):
-        inside = adj[v] & ~c_mask == 0
-        assert inside == bool(state.r_mask & (1 << v))
+    assert state.r_mask == graph.interior(x_mask, c_mask)
     assert state.x_partition_ok(x_mask)
     return state
 
@@ -332,12 +331,7 @@ def phi_approx_sample(graph: CayleyGraph, rec: ClosedSetRecord, c_mask: int,
         uncovered = rec.closure & ~graph.nbhd(z1)
         # absorbed closure vertices always have an interior neighbor in Z1
         assert uncovered & ~r_a == 0, "non-R closure vertex escaped Z1"
-        z2 = 0
-        if uncovered:
-            pool_y = bits_list(rec.nbhd & ~z1)
-            result = greedy_cover(uncovered, [adj[y] for y in pool_y])
-            for i in result.chosen:
-                z2 |= 1 << pool_y[i]
+        z2 = neighborhood_cover(graph, uncovered, rec.nbhd & ~z1)
         f_mask = z1 | z2
         assert check_phi(graph, rec, f_mask, params)
         approx = PhiApprox(f_mask, z1, z2, False)
@@ -389,10 +383,7 @@ def psi_approx(graph: Graph, rec: ClosedSetRecord, f_mask: int) -> PsiApprox:
         if candidate < 0:
             break
         f_prime |= adj[candidate]
-    s_mask = 0
-    for u in iter_bits(x_side):
-        if (adj[u] & f_prime).bit_count() >= d - psi:
-            s_mask |= 1 << u
+    s_mask = graph.heavy(x_side, f_prime, d - psi)
     while True:
         candidate = -1
         for w in iter_bits(y_side & ~f_prime):
@@ -424,16 +415,15 @@ def check_psi(graph: Graph, rec: ClosedSetRecord, approx: PsiApprox) -> PsiCheck
     d = regular_degree(graph)
     params = ApproxParams.for_degree(d)
     psi = params.psi
-    adj = graph.adj
     s_mask, f_mask = approx.s_mask, approx.f_mask
     x_side = rec.side
     y_side = graph.full_mask() & ~x_side
 
     covers = rec.closure & ~s_mask == 0
     inside = f_mask & ~rec.nbhd == 0
-    s_deg = all((adj[u] & f_mask).bit_count() >= d - psi for u in iter_bits(s_mask))
-    out_deg = all((adj[w] & x_side & ~s_mask).bit_count() >= d - psi
-                  for w in iter_bits(y_side & ~f_mask))
+    s_deg = graph.heavy(s_mask, f_mask, d - psi) == s_mask
+    outside = y_side & ~f_mask
+    out_deg = graph.heavy(outside, x_side & ~s_mask, d - psi) == outside
     valid = covers and inside and s_deg and out_deg
 
     if params.psi_degenerate:
@@ -488,40 +478,21 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
                                  rec.boundary.bit_count() / denom if denom else None)
 
     spec = graph.group
-    adj = graph.adj
     x_side = rec.side
     y_side = graph.full_mask() & ~x_side
 
     # trim the closure to a core with controlled growth, then re-close it
     d_mask = mask_of(graph.gens.ids)
     chain = chain_witness_search(spec, rec.closure, d_mask, k=3, c=c, mode="greedy")
-    core = mask_of(chain.chain[-1])
-    g_core = graph.nbhd(core)
-    core_closed = 0
-    for v in iter_bits(x_side):
-        if adj[v] & ~g_core == 0:
-            core_closed |= 1 << v
-    core = core_closed & rec.closure
-    g_core = graph.nbhd(core)
+    # [core] lies inside [A], because N(core) lies inside G
+    core_rec = closure(graph, mask_of(chain.chain[-1]), x_side)
+    core, g_core = core_rec.closure, core_rec.nbhd
 
     a0 = graph.nbhd_iter(core, 2) & ~core
     g0 = graph.nbhd_iter(core, 3) & ~g_core
-    core_bdry = 0
-    for v in iter_bits(g_core):
-        if adj[v] & x_side & ~core:
-            core_bdry |= 1 << v
-    heavy = 0
-    for v in iter_bits(core_bdry):
-        if 2 * (adj[v] & a0).bit_count() >= d:
-            heavy |= 1 << v
-    light = core_bdry & ~heavy
-
-    z2 = 0
-    if heavy:
-        pool = bits_list(a0)
-        res = greedy_cover(heavy, [adj[x] for x in pool])
-        for i in res.chosen:
-            z2 |= 1 << pool[i]
+    heavy = graph.heavy(core_rec.boundary, a0, d / 2)
+    light = core_rec.boundary & ~heavy
+    z2 = neighborhood_cover(graph, heavy, a0)
 
     outside = y_side & ~g_core
     m_prime = outside
@@ -531,12 +502,7 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
         m_prime = mask_of(chain_out.chain[-1])
     a2 = graph.nbhd_iter(m_prime, 3) & core
     reachable = light & graph.nbhd_iter(m_prime, 2)
-    z3 = 0
-    if reachable:
-        pool = bits_list(a2)
-        res = greedy_cover(reachable, [adj[x] for x in pool])
-        for i in res.chosen:
-            z3 |= 1 << pool[i]
+    z3 = neighborhood_cover(graph, reachable, a2)
 
     residual = graph.nbhd_iter((outside & ~m_prime) & g0, 2)
     tail = graph.nbhd(rec.closure & ~core)

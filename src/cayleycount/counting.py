@@ -16,7 +16,7 @@ from math import exp
 from typing import Iterator
 
 from .errors import InstanceTooLargeError, InvalidInputError
-from .graphs import ClosedSetRecord, Graph, bits_list, closure, iter_bits
+from .graphs import ClosedSetRecord, Graph, bits_list, closure, is_two_linked, iter_bits
 
 DEFAULT_BRANCHING_BUDGET = 64
 DEFAULT_BRUTEFORCE_BUDGET = 26
@@ -164,15 +164,6 @@ def lucas_number(n: int) -> int:
 # -- small 2-linked closed sets ---------------------------------------------------
 
 
-def _close_on_side(graph: Graph, side: int, mask: int) -> tuple[int, int]:
-    g = graph.nbhd(mask)
-    closed = 0
-    for v in iter_bits(side):
-        if graph.adj[v] & ~g == 0:
-            closed |= 1 << v
-    return closed, g
-
-
 def enumerate_small_2linked_closed(graph: Graph, side: str = "X",
                                    max_states: int = DEFAULT_ENUM_STATES) -> Iterator[ClosedSetRecord]:
     """All closed ([A] = A), 2-linked, small sets on one side, each exactly
@@ -192,7 +183,7 @@ def enumerate_small_2linked_closed(graph: Graph, side: str = "X",
     seen: set[int] = set()
     queue: list[int] = []
     for u in iter_bits(side_mask):
-        closed, _ = _close_on_side(graph, side_mask, 1 << u)
+        closed = graph.interior(side_mask, graph.nbhd(1 << u))
         if 2 * closed.bit_count() > n or closed in seen:
             continue
         seen.add(closed)
@@ -206,7 +197,7 @@ def enumerate_small_2linked_closed(graph: Graph, side: str = "X",
         yield closure(graph, state, side_mask)
         grow = graph.nbhd(graph.nbhd(state)) & side_mask & ~state
         for v in iter_bits(grow):
-            child, _ = _close_on_side(graph, side_mask, state | (1 << v))
+            child = graph.interior(side_mask, graph.nbhd(state | (1 << v)))
             if 2 * child.bit_count() > n or child in seen:
                 continue
             seen.add(child)
@@ -240,13 +231,7 @@ def count_closure_preimages(graph: Graph, rec: ClosedSetRecord,
                 lsb = s & -s
                 mask |= 1 << verts[lsb.bit_length() - 1]
                 s ^= lsb
-            comp = mask & -mask
-            while True:
-                grown = (comp | graph.nbhd(graph.nbhd(comp))) & mask
-                if grown == comp:
-                    break
-                comp = grown
-            if comp != mask:
+            if not is_two_linked(graph, mask):
                 continue
         count += 1
     return count

@@ -86,28 +86,56 @@ class Graph:
                 out.append((u, u + 1 + k))
         return out
 
-    def is_bipartite(self) -> bool:
-        return self.parts is not None
+    def interior(self, within: int, region: int) -> int:
+        """The vertices of `within` whose whole neighborhood lies in `region`."""
+        out = 0
+        adj = self.adj
+        for v in iter_bits(within):
+            if adj[v] & ~region == 0:
+                out |= 1 << v
+        return out
 
-    def component_of(self, v: int, within: Optional[int] = None) -> int:
-        active = self.full_mask() if within is None else within
-        comp = (1 << v) & active
+    def heavy(self, within: int, region: int, k: float) -> int:
+        """The vertices of `within` with at least k neighbors in `region`."""
+        out = 0
+        adj = self.adj
+        for v in iter_bits(within):
+            if (adj[v] & region).bit_count() >= k:
+                out |= 1 << v
+        return out
+
+    def reach(self, seed: int, within: int, hops: int = 1) -> int:
+        """The vertices of `within` reachable from `seed` in steps of `hops`
+        edges that stop only inside `within`: the connected part of the seed
+        for hops = 1, its 2-linked part for hops = 2."""
+        comp = seed & within
         while True:
-            grown = (comp | self.nbhd(comp)) & active
+            grown = (comp | self.nbhd_iter(comp, hops)) & within
             if grown == comp:
                 return comp
             comp = grown
 
-    def components(self, within: Optional[int] = None) -> list[int]:
+    def components(self, within: Optional[int] = None, hops: int = 1) -> list[int]:
         active = self.full_mask() if within is None else within
         out = []
         rest = active
         while rest:
-            v = (rest & -rest).bit_length() - 1
-            comp = self.component_of(v, active)
+            comp = self.reach(rest & -rest, active, hops)
             out.append(comp)
             rest &= ~comp
         return out
+
+    def side_of(self, mask: int, empty: int) -> int:
+        """The part of the bipartition containing `mask`; `empty` for the
+        empty set, which lies in both."""
+        if self.parts is None:
+            raise InvalidInputError("sides need a bipartite graph")
+        if mask == 0:
+            return empty
+        for part in self.parts:
+            if mask & ~part == 0:
+                return part
+        raise InvalidInputError("set straddles both sides of the bipartition")
 
     def is_connected(self) -> bool:
         return self.vcount > 0 and len(self.components()) == 1
@@ -191,58 +219,29 @@ def closure(graph: Graph, a_mask: int, side: Optional[int] = None) -> ClosedSetR
     """
     if graph.parts is None:
         raise InvalidInputError("closure requires a bipartite graph")
-    x_mask, y_mask = graph.parts
     if side is None:
-        if a_mask == 0:
-            side = x_mask
-        elif a_mask & ~x_mask == 0:
-            side = x_mask
-        elif a_mask & ~y_mask == 0:
-            side = y_mask
-        else:
-            raise InvalidInputError("A straddles both sides of the bipartition")
+        side = graph.side_of(a_mask, graph.parts[0])
     elif a_mask & ~side:
         raise InvalidInputError("A is not contained in the requested side")
     g = graph.nbhd(a_mask)
-    closed = 0
-    for v in iter_bits(side):
-        if graph.adj[v] & ~g == 0:
-            closed |= 1 << v
-    boundary = 0
-    for w in iter_bits(g):
-        if graph.adj[w] & side & ~closed:
-            boundary |= 1 << w
+    closed = graph.interior(side, g)
+    boundary = graph.heavy(g, side & ~closed, 1)
     return ClosedSetRecord(a_mask, closed, g, boundary, side, side.bit_count())
 
 
 def two_linked_components(graph: Graph, a_mask: int) -> list[int]:
     """Connected components of A in the square graph (shared-neighbor
     adjacency), without materializing the square graph."""
-    comps = []
-    rest = a_mask
-    while rest:
-        comp = rest & -rest
-        while True:
-            grown = (comp | graph.nbhd(graph.nbhd(comp))) & a_mask
-            if grown == comp:
-                break
-            comp = grown
-        comps.append(comp)
-        rest &= ~comp
-    return comps
+    return graph.components(a_mask, hops=2)
 
 
 def is_two_linked(graph: Graph, a_mask: int) -> bool:
-    return a_mask != 0 and len(two_linked_components(graph, a_mask)) == 1
+    return a_mask != 0 and graph.reach(a_mask & -a_mask, a_mask, 2) == a_mask
 
 
 def heavy_neighborhood(graph: Graph, rec: ClosedSetRecord, alpha: float) -> int:
     """Vertices of G with at least `alpha` neighbors inside the closure."""
-    out = 0
-    for w in iter_bits(rec.nbhd):
-        if (graph.adj[w] & rec.closure).bit_count() >= alpha:
-            out |= 1 << w
-    return out
+    return graph.heavy(rec.nbhd, rec.closure, alpha)
 
 
 # -- tensor double cover -------------------------------------------------------

@@ -13,7 +13,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from . import containers, counting, groups, sumsets
@@ -75,12 +76,17 @@ def symmetric_generator_sets(spec: GroupSpec) -> Iterator[frozenset[int]]:
         yield d
 
 
-def corpus_graphs(max_order: int = 16, min_order: int = 2) -> Iterator[tuple[str, CayleyGraph]]:
-    for order in range(min_order, max_order + 1):
+def corpus_sets(orders: Iterable[int]) -> Iterator[tuple[GroupSpec, frozenset[int]]]:
+    """Every (group, symmetric generator set) of the given orders."""
+    for order in orders:
         for spec in groups.enumerate_abelian_groups(order):
             for d_ids in symmetric_generator_sets(spec):
-                label = f"{spec}|D={sorted(d_ids)}"
-                yield label, build_cayley(spec, GeneratorSet(spec, d_ids))
+                yield spec, d_ids
+
+
+def corpus_graphs(max_order: int = 16, min_order: int = 2) -> Iterator[tuple[str, CayleyGraph]]:
+    for spec, d_ids in corpus_sets(range(min_order, max_order + 1)):
+        yield f"{spec}|D={sorted(d_ids)}", build_cayley(spec, GeneratorSet(spec, d_ids))
 
 
 def cycle_graph(n: int) -> CayleyGraph:
@@ -91,6 +97,14 @@ def cycle_graph(n: int) -> CayleyGraph:
 def complete_bipartite_graph(d: int) -> CayleyGraph:
     spec = groups.make_group([2 * d])
     return build_cayley(spec, GeneratorSet(spec, {x for x in range(1, 2 * d) if x % 2}))
+
+
+def extremal_graphs(max_cycle: int, max_kdd: int) -> Iterator[tuple[str, CayleyGraph]]:
+    """The corpus tail: cycles C3..C{max_cycle}, then K_{d,d} for d <= max_kdd."""
+    for n in range(3, max_cycle + 1):
+        yield f"C{n}", cycle_graph(n)
+    for d in range(1, max_kdd + 1):
+        yield f"K{d},{d}", complete_bipartite_graph(d)
 
 
 # -- counting suites ---------------------------------------------------------------
@@ -118,16 +132,9 @@ def sweep_engine_equivalence(max_order: int = 16, max_cycle: int = 24,
 
     jobs: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
     chunk = 512
-    for order in range(2, max_order + 1):
-        for spec in groups.enumerate_abelian_groups(order):
-            pending: list[tuple[int, ...]] = []
-            for d_ids in symmetric_generator_sets(spec):
-                pending.append(tuple(sorted(d_ids)))
-                if len(pending) >= chunk:
-                    jobs.append((spec.factors, pending))
-                    pending = []
-            if pending:
-                jobs.append((spec.factors, pending))
+    for spec, items in groupby(corpus_sets(range(2, max_order + 1)), key=itemgetter(0)):
+        gensets = [tuple(sorted(d_ids)) for _, d_ids in items]
+        jobs.extend((spec.factors, gensets[i:i + chunk]) for i in range(0, len(gensets), chunk))
 
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -150,10 +157,8 @@ def sweep_engine_equivalence(max_order: int = 16, max_cycle: int = 24,
             res.violations += 1
             bad.append(label)
 
-    for n in range(3, max_cycle + 1):
-        check(f"C{n}", cycle_graph(n))
-    for d in range(1, max_kdd + 1):
-        check(f"K{d},{d}", complete_bipartite_graph(d))
+    for label, graph in extremal_graphs(max_cycle, max_kdd):
+        check(label, graph)
     res.details["failures"] = bad[:10]
     return res
 
@@ -228,12 +233,9 @@ def sweep_side_sums(max_order: int = 16, max_cycle: int = 24, max_kdd: int = 6,
         if not cb.holds_closed:
             res.details["closed_variant_fails"] = res.details.get("closed_variant_fails", 0) + 1
 
-    for label, graph in corpus_graphs(max_order):
+    # odd cycles are not bipartite, so `check` passes over them
+    for label, graph in chain(corpus_graphs(max_order), extremal_graphs(max_cycle, max_kdd)):
         check(label, graph)
-    for n in range(4, max_cycle + 1, 2):
-        check(f"C{n}", cycle_graph(n))
-    for d in range(1, max_kdd + 1):
-        check(f"K{d},{d}", complete_bipartite_graph(d))
     return res
 
 
@@ -246,24 +248,22 @@ def sweep_main_trend(max_order: int = 16) -> SweepResult:
     max_bip_ratio: Fraction = Fraction(0)
     max_bip_label = ""
     complete_ok = True
-    for order in range(2, max_order + 1, 2):
-        n = order // 2
-        for spec in groups.enumerate_abelian_groups(order):
-            for d_ids in symmetric_generator_sets(spec):
-                graph = build_cayley(spec, GeneratorSet(spec, d_ids))
-                if not graph.is_connected():
-                    continue
-                res.checked += 1
-                ratio = Fraction(counting.count_independent_sets(graph), 2 ** (n + 1))
-                if ratio > max_ratio:
-                    max_ratio, max_label = ratio, f"{spec}|{sorted(d_ids)}"
-                if graph.parts is not None and len(d_ids) >= math.log2(max(n, 2)):
-                    if ratio > max_bip_ratio:
-                        max_bip_ratio, max_bip_label = ratio, f"{spec}|{sorted(d_ids)}"
-                    x_mask, y_mask = graph.parts
-                    complete = all(graph.adj[v] == y_mask for v in iter_bits(x_mask))
-                    if complete and ratio != Fraction(2 ** (n + 1) - 1, 2 ** (n + 1)):
-                        complete_ok = False
+    for spec, d_ids in corpus_sets(range(2, max_order + 1, 2)):
+        n = spec.order // 2
+        graph = build_cayley(spec, GeneratorSet(spec, d_ids))
+        if not graph.is_connected():
+            continue
+        res.checked += 1
+        ratio = Fraction(counting.count_independent_sets(graph), 2 ** (n + 1))
+        if ratio > max_ratio:
+            max_ratio, max_label = ratio, f"{spec}|{sorted(d_ids)}"
+        if graph.parts is not None and len(d_ids) >= math.log2(max(n, 2)):
+            if ratio > max_bip_ratio:
+                max_bip_ratio, max_bip_label = ratio, f"{spec}|{sorted(d_ids)}"
+            x_mask, y_mask = graph.parts
+            complete = all(graph.adj[v] == y_mask for v in iter_bits(x_mask))
+            if complete and ratio != Fraction(2 ** (n + 1) - 1, 2 ** (n + 1)):
+                complete_ok = False
     res.details["max_ratio"] = float(max_ratio)
     res.details["max_instance"] = max_label
     res.details["max_bipartite_ratio"] = float(max_bip_ratio)
@@ -544,7 +544,6 @@ ALL_SUITES: dict[str, Callable[[], SweepResult]] = {
     "kdd": sweep_complete_bipartite,
     "zhao": sweep_zhao,
     "side-sum": sweep_side_sums,
-    "cluster": sweep_side_sums,      # cluster checks ride along with the side sums
     "trend": sweep_main_trend,
     "olson": sweep_olson,
     "prp": sweep_prp,

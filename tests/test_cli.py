@@ -1,6 +1,7 @@
 import json
 import os
 
+from cayleycount import verify
 from cayleycount.cli import main
 
 
@@ -73,6 +74,14 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 3  # not symmetric without --symmetrize
     code, _, _ = run_cli(["build", "--group", "Z6"], capsys)
     assert code == 3
+    # argparse errors map to the usage code too, not to 2 (budget exceeded)
+    for argv in (["verify", "no-such-suite"], ["count"], ["verify", "psi", "--d", "x"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert "usage" in err
+    code, out, _ = run_cli(["--help"], capsys)
+    assert code == 0
+    assert "usage" in out
 
 
 def test_symmetrize_flag(tmp_path, capsys):
@@ -99,6 +108,25 @@ def test_verify_subcommand(tmp_path, capsys):
     assert rep["passed"] is True
     assert rep["suite"] == "kdd"
     assert "PASS" in err
+
+
+def test_verify_trials_reach_a_sweep_only_when_given(monkeypatch, capsys):
+    calls = []
+
+    def recorder(**kwargs):
+        calls.append(kwargs)
+        return verify.SweepResult("recorder", checked=1)
+
+    monkeypatch.setitem(verify.ALL_SUITES, "thinning", recorder)
+    monkeypatch.setitem(verify.ALL_SUITES, "growth", recorder)
+    for argv, kwargs in ((["verify", "thinning"], {}),
+                         (["verify", "thinning", "--trials", "5"], {"seeds": 5}),
+                         (["verify", "growth", "--seed", "3"], {"seed": 3}),
+                         (["verify", "growth", "--seed", "3", "--trials", "7"],
+                          {"seed": 3, "trials": 7})):
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert calls.pop() == kwargs, argv
 
 
 def test_containers_dump(tmp_path, capsys):

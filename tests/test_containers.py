@@ -19,6 +19,7 @@ from cayleycount.counting import enumerate_small_2linked_closed
 from cayleycount.errors import InvalidInputError, UncoverableError
 from cayleycount.graphs import bits_list, build_cayley, closure, mask_of
 from cayleycount.groups import GeneratorSet, make_group, symmetrize
+from cayleycount.sumsets import chain_witness_search
 from cayleycount.constructions import OddCirculantConfig, build_odd_circulant
 from cayleycount.verify import cycle_graph
 
@@ -204,6 +205,27 @@ def test_boundary_container_covers_and_fallback():
         bc = boundary_container(oc, rec)
         assert not bc.fallback
         assert rec.boundary & ~bc.c_mask == 0
+
+
+def test_boundary_container_core_is_the_closed_chain_end():
+    # oracle: the chain's last set, closed on X by hand and cut to [A]
+    g = build_odd_circulant(OddCirculantConfig(16, 5))
+    d = g.degree(0)
+    x_side = g.parts[0]
+    records = list(enumerate_small_2linked_closed(g, "X"))
+    assert records
+    for rec in records:
+        bc = boundary_container(g, rec)
+        assert not bc.fallback
+        chain = chain_witness_search(g.group, rec.closure, mask_of(g.gens.ids), k=3,
+                                     c=math.log2(d) ** 2, mode="greedy")
+        core = mask_of(chain.chain[-1])
+        g_core = g.nbhd(core)
+        core_closed = 0
+        for v in bits_list(x_side):
+            if g.adj[v] & ~g_core == 0:
+                core_closed |= 1 << v
+        assert bc.core == core_closed & rec.closure, rec.closure
 
 
 def test_boundary_container_nondegenerate_instance():

@@ -1,7 +1,9 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleycount import graphs, groups
 from cayleycount.errors import InvalidInputError
@@ -15,6 +17,7 @@ from cayleycount.graphs import (
     graph_from_json,
     graph_to_json,
     heavy_neighborhood,
+    is_two_linked,
     mask_of,
     neighborhood,
     times_k2,
@@ -132,6 +135,63 @@ def test_two_linked_components():
     assert len(two_linked_components(g, mask_of([0, 4]))) == 2
     assert len(two_linked_components(g, mask_of([0, 2, 4]))) == 1
     assert two_linked_components(g, 0) == []
+
+
+CORPUS = list(corpus_graphs(12))
+
+
+def any_mask(data, graph):
+    return data.draw(st.integers(0, graph.full_mask()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CORPUS), st.data())
+def test_interior_and_heavy_match_per_vertex_loops(item, data):
+    label, g = item
+    within, region = any_mask(data, g), any_mask(data, g)
+    k = data.draw(st.integers(0, 2 * g.degree(0) + 2)) / 2   # thresholds such as d / 2
+    interior = heavy = 0
+    for v in range(g.vcount):
+        if within >> v & 1:
+            nbrs = {u for u in range(g.vcount) if g.adj[v] >> u & 1}
+            if all(region >> u & 1 for u in nbrs):
+                interior |= 1 << v
+            if sum(region >> u & 1 for u in nbrs) >= k:
+                heavy |= 1 << v
+    assert g.interior(within, region) == interior, label
+    assert g.heavy(within, region, k) == heavy, label
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CORPUS), st.data())
+def test_two_linkage_matches_networkx_square_graph(item, data):
+    label, g = item
+    a_mask = any_mask(data, g)
+    a = set(bits_list(a_mask))
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(range(g.vcount))
+    # the square graph on A: two vertices of A are adjacent when they share a neighbor
+    square = nx.Graph()
+    square.add_nodes_from(a)
+    for v in nxg:
+        square.add_edges_from(combinations(sorted(set(nxg[v]) & a), 2))
+    expected = {frozenset(c) for c in nx.connected_components(square)}
+    comps = two_linked_components(g, a_mask)
+    assert {frozenset(bits_list(c)) for c in comps} == expected, label
+    assert len(comps) == len(expected)
+    assert is_two_linked(g, a_mask) == (len(expected) == 1), label
+
+
+def test_side_of():
+    g = c8()
+    x_mask, y_mask = g.parts
+    assert g.side_of(mask_of([0, 4]), y_mask) == x_mask
+    assert g.side_of(mask_of([1, 7]), x_mask) == y_mask
+    assert g.side_of(0, y_mask) == y_mask
+    with pytest.raises(InvalidInputError):
+        g.side_of(mask_of([0, 1]), x_mask)
+    with pytest.raises(InvalidInputError):
+        cycle_graph(5).side_of(1, 1)
 
 
 def test_heavy_neighborhood():
