@@ -220,8 +220,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kwargs["seeds"] = args.trials
     if args.suite in ("psi", "phi") and args.n and args.d:
         kwargs["instances"] = [(args.n, args.d)]
-    if args.suite == "engine" and args.threads:
-        kwargs["threads"] = args.threads
     if args.suite == "odd-circulant" and args.n:
         kwargs["max_n"] = args.n
     try:
@@ -251,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=_default_seed(),
                         help="master seed (env CAYLEYCOUNT_SEED)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel sweeps")
     common.add_argument("--output", "-o", help="write the report to this path")
     common.add_argument("--format", choices=("json", "csv"), default="csv",
                         help="table output format")

@@ -9,6 +9,7 @@ so unions, intersections and popcounts are single word-parallel operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from . import groups
@@ -418,15 +419,19 @@ def graph_from_json(data: dict) -> Graph:
         spec = groups.make_group(data["group"]["factors"])
         ids = {groups.coords_to_id(spec, tuple(c)) for c in data["generators"]}
         return CayleyGraph(spec, GeneratorSet(spec, ids))
-    vcount = data["vcount"]
+    vcount, edges, part_ids = data["vcount"], data["edges"], data.get("parts")
+    for i in chain(*edges, *(part_ids or ())):
+        if not 0 <= i < vcount:
+            raise InvalidInputError(f"vertex id {i} outside 0..{vcount - 1}")
     adj = [0] * vcount
-    for u, v in data["edges"]:
+    for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    parts = None
-    if data.get("parts"):
-        parts = (mask_of(data["parts"][0]), mask_of(data["parts"][1]))
-    return Graph(adj, parts)
+    parts = (mask_of(part_ids[0]), mask_of(part_ids[1])) if part_ids else None
+    graph = Graph(adj, parts)
+    if parts is not None and any(graph.nbhd(side) & side for side in parts):
+        raise InvalidInputError("parts must be independent sets")
+    return graph
 
 
 def edge_list_text(graph: Graph) -> str:

@@ -13,8 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, groupby
-from operator import itemgetter
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator
 
 from . import containers, counting, groups, sumsets
@@ -110,55 +109,19 @@ def extremal_graphs(max_cycle: int, max_kdd: int) -> Iterator[tuple[str, CayleyG
 # -- counting suites ---------------------------------------------------------------
 
 
-def _engine_equivalence_chunk(job: tuple[tuple[int, ...], list[tuple[int, ...]]]) -> tuple[int, int, list[str]]:
-    factors, gensets = job
-    spec = GroupSpec(factors)
-    checked = violations = 0
-    bad: list[str] = []
-    for ids in gensets:
-        graph = build_cayley(spec, GeneratorSet(spec, ids))
-        checked += 1
-        if counting.count_independent_sets(graph) != counting.count_independent_sets_bruteforce(graph):
-            violations += 1
-            bad.append(f"{spec}|D={sorted(ids)}")
-    return checked, violations, bad
-
-
 def sweep_engine_equivalence(max_order: int = 16, max_cycle: int = 24,
-                             max_kdd: int = 6, threads: int = 1) -> SweepResult:
+                             max_kdd: int = 6) -> SweepResult:
     """Branching engine equals the 2^V brute force on the whole corpus."""
     res = SweepResult("engine-equivalence")
     bad: list[str] = []
-
-    jobs: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
-    chunk = 512
-    for spec, items in groupby(corpus_sets(range(2, max_order + 1)), key=itemgetter(0)):
-        gensets = [tuple(sorted(d_ids)) for _, d_ids in items]
-        jobs.extend((spec.factors, gensets[i:i + chunk]) for i in range(0, len(gensets), chunk))
-
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_engine_equivalence_chunk, jobs))
-    else:
-        outcomes = [_engine_equivalence_chunk(job) for job in jobs]
-    for checked, violations, failures in outcomes:
-        res.checked += checked
-        res.violations += violations
-        bad.extend(failures)
-
-    def check(label: str, graph: CayleyGraph) -> None:
+    for label, graph in chain(corpus_graphs(max_order), extremal_graphs(max_cycle, max_kdd)):
         if graph.vcount > 24:
             res.skipped += 1
-            return
+            continue
         res.checked += 1
         if counting.count_independent_sets(graph) != counting.count_independent_sets_bruteforce(graph):
             res.violations += 1
             bad.append(label)
-
-    for label, graph in extremal_graphs(max_cycle, max_kdd):
-        check(label, graph)
     res.details["failures"] = bad[:10]
     return res
 

@@ -84,6 +84,18 @@ def test_usage_errors(tmp_path, capsys):
     assert "usage" in out
 
 
+def test_invalid_graph_json(tmp_path, capsys):
+    # out-of-range and negative endpoints, and parts that are not independent
+    for name, data in (("range", {"vcount": 3, "edges": [[0, 5]]}),
+                       ("negative", {"vcount": 3, "edges": [[0, -1]]}),
+                       ("parts", {"vcount": 2, "edges": [[0, 1]], "parts": [[0, 1], []]})):
+        gpath = tmp_path / f"{name}.json"
+        gpath.write_text(json.dumps(data))
+        code, _, err = run_cli(["count", str(gpath)], capsys)
+        assert code == 3, name
+        assert err.startswith("error:"), name
+
+
 def test_symmetrize_flag(tmp_path, capsys):
     gpath = str(tmp_path / "g.json")
     code, _, _ = run_cli(["build", "--group", "Z8", "--gens", "1", "--symmetrize",

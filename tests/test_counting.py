@@ -46,6 +46,38 @@ def test_budgets_enforced():
         count_independent_sets_bruteforce(g, budget=10)
 
 
+def _scan_oracle(graph):
+    """Independent oracle: test every subset for an edge inside it."""
+    low = [row & ((1 << v) - 1) for v, row in enumerate(graph.adj)]
+    count = 0
+    for sub in range(1 << graph.vcount):
+        if not any(sub >> v & 1 and sub & low[v] for v in range(graph.vcount)):
+            count += 1
+    return count
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 14), st.data())
+def test_doubling_table_matches_subset_scan(n, data):
+    density = data.draw(st.sampled_from((0.1, 0.3, 0.6)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    g = Graph(adj)
+    assert count_independent_sets_bruteforce(g) == _scan_oracle(g)
+
+
+def test_bruteforce_at_the_budget():
+    assert count_independent_sets_bruteforce(Graph([0] * 26)) == 2 ** 26
+    assert count_independent_sets_bruteforce(complete_bipartite_graph(13)) == 2 ** 14 - 1
+    assert count_independent_sets_bruteforce(cycle_graph(24)) == lucas_number(24)
+    assert count_independent_sets_bruteforce(Graph([])) == 1
+
+
 def test_lucas_oracle():
     known = {1: 1, 2: 3, 3: 4, 4: 7, 5: 11, 6: 18, 7: 29, 8: 47, 10: 123}
     for n, val in known.items():
