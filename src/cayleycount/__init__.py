@@ -16,7 +16,6 @@ from .graphs import (  # noqa: F401
     Graph,
     build_cayley,
     closure,
-    connectivity,
     neighborhood,
     times_k2,
     two_linked_components,

@@ -47,14 +47,13 @@ def _default_seed() -> int:
     return int(os.environ.get("CAYLEYCOUNT_SEED", "0"))
 
 
-def _report_header(args: argparse.Namespace, started: float) -> dict:
+def _report_header(args: argparse.Namespace) -> dict:
     config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     return {
         "tool": "cayleycount",
         "version": __version__,
         "seed": args.seed,
         "config": config,
-        "elapsed_s": round(time.time() - started, 3),
     }
 
 
@@ -85,7 +84,6 @@ def _parse_generators(spec: groups.GroupSpec, text: str, symmetrize: bool) -> Ge
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    started = time.time()
     if args.construction == "gadget-ring":
         ring = build_gadget_ring(GadgetRingConfig(d=args.d, t=args.t, seed=args.seed))
         provenance = {
@@ -110,7 +108,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             print("warning: generator set does not generate; graph is disconnected",
                   file=sys.stderr)
         data = graph_to_json(graph)
-    data["report"] = _report_header(args, started)
+    data["report"] = _report_header(args)
     _emit(args, json.dumps(data, indent=2) + "\n")
     return EXIT_OK
 
@@ -121,7 +119,6 @@ def _load_graph(path: str):
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    started = time.time()
     graph = _load_graph(args.graph)
     count = counting.count_independent_sets(graph, args.budget)
     report = {
@@ -138,16 +135,15 @@ def cmd_count(args: argparse.Namespace) -> int:
         report["bruteforce"] = str(brute)
         report["crosscheck"] = brute == count
         if brute != count:
-            report["report"] = _report_header(args, started)
+            report["report"] = _report_header(args)
             _emit(args, json.dumps(report, indent=2) + "\n")
             return EXIT_VIOLATION
-    report["report"] = _report_header(args, started)
+    report["report"] = _report_header(args)
     _emit(args, json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    started = time.time()
     graph = _load_graph(args.graph)
     table = counting.container_table(graph, args.side)
     buf = io.StringIO()
@@ -158,7 +154,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = json.dumps({
             "rows": [dict(a=a, g=g, t=t, count=str(c)) for a, g, t, c in table.rows()],
-            "report": _report_header(args, started),
+            "report": _report_header(args),
         }, indent=2) + "\n"
     else:
         payload = buf.getvalue()
@@ -175,7 +171,6 @@ def cmd_dump_edges(args: argparse.Namespace) -> int:
 def cmd_containers(args: argparse.Namespace) -> int:
     """Per-record certificate dump: boundary container, sampled
     phi-approximation, refined psi-approximation."""
-    started = time.time()
     graph = _load_graph(args.graph)
     if not isinstance(graph, CayleyGraph):
         print("containers: needs a Cayley graph input", file=sys.stderr)
@@ -198,12 +193,11 @@ def cmd_containers(args: argparse.Namespace) -> int:
                          rep.f_size, psi_rep.s_size, str(phi_ok).lower(),
                          str(psi_rep.valid).lower(), size_flag, rep.retries])
     _emit(args, buf.getvalue())
-    print(json.dumps(_report_header(args, started)), file=sys.stderr)
+    print(json.dumps(_report_header(args)), file=sys.stderr)
     return EXIT_VIOLATION if violation else EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.time()
     kwargs = {}
     if args.suite == "zhao" and args.max_vertices:
         kwargs["max_vertices"] = args.max_vertices
@@ -234,7 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "violations": result.violations,
         "skipped": result.skipped,
         "details": result.details,
-        "report": _report_header(args, started),
+        "report": _report_header(args),
     }
     _emit(args, json.dumps(payload, indent=2, default=str) + "\n")
     print(result.line(), file=sys.stderr)
@@ -250,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=_default_seed(),
                         help="master seed (env CAYLEYCOUNT_SEED)")
     common.add_argument("--output", "-o", help="write the report to this path")
-    common.add_argument("--format", choices=("json", "csv"), default="csv",
-                        help="table output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="build a graph file", parents=[common])
@@ -276,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", parents=[common], help="exact (a, g) table of small 2-linked sets")
     p_table.add_argument("graph")
     p_table.add_argument("--side", choices=("X", "Y"), default="X")
+    p_table.add_argument("--format", choices=("json", "csv"), default="csv",
+                         help="table output format")
     p_table.set_defaults(func=cmd_table)
 
     p_dump = sub.add_parser("dump-edges", parents=[common], help="plain edge-list dump")
@@ -305,14 +299,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on a usage error, which is the budget code here
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    started = time.time()
     try:
-        return args.func(args)
+        code = args.func(args)
     except (InstanceTooLargeError, SearchSpaceTooLargeError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except CayleyCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # wall time stays off the reports so that identical seeds give identical bytes
+    print(json.dumps({"elapsed_s": round(time.time() - started, 3)}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

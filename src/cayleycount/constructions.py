@@ -23,7 +23,7 @@ from .graphs import (
     build_cayley,
     iter_bits,
     mask_of,
-    vertex_connectivity_at_least,
+    vertex_connectivity,
 )
 from .groups import GeneratorSet
 
@@ -92,7 +92,7 @@ def build_gadget(d: int, seed: int = 0, max_attempts: int = 2000) -> Graph:
         if not ok:
             continue
         g = Graph(adj, parts=(mask_of(range(nx)), mask_of(range(nx, nx + nr))))
-        if vertex_connectivity_at_least(g, d - 1):
+        if vertex_connectivity(g) >= d - 1:
             return g
     raise GadgetSearchError(
         f"no ({d})-gadget found in {max_attempts} attempts; retry with a new seed")

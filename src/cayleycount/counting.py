@@ -39,7 +39,6 @@ def count_independent_sets(graph: Graph, budget: int = DEFAULT_BRANCHING_BUDGET)
         return 1
     adj = graph.adj
     memo: dict[tuple[int, ...], int] = {}
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000))
 
     def signature(comp: int) -> tuple[int, ...]:
         vs = bits_list(comp)
@@ -97,7 +96,12 @@ def count_independent_sets(graph: Graph, budget: int = DEFAULT_BRANCHING_BUDGET)
         memo[sig] = res
         return res
 
-    return count_active(graph.full_mask())
+    caller_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(caller_limit, 10000))
+    try:
+        return count_active(graph.full_mask())
+    finally:
+        sys.setrecursionlimit(caller_limit)
 
 
 def count_independent_sets_bruteforce(graph: Graph,

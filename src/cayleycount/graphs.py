@@ -50,6 +50,12 @@ class Graph:
                 raise InvalidInputError("adjacency mask out of range")
             if row & (1 << v):
                 raise InvalidInputError(f"self-loop at vertex {v}")
+            while row:
+                lsb = row & -row
+                u = lsb.bit_length() - 1
+                if not self.adj[u] >> v & 1:
+                    raise InvalidInputError(f"arc {v} -> {u} has no reverse arc")
+                row ^= lsb
         if parts is not None:
             x, y = parts
             if x | y != full or x & y:
@@ -161,15 +167,13 @@ class CayleyGraph(Graph):
         part_masks = None
         if parts is not None:
             part_masks = (mask_of(parts[0]), mask_of(parts[1]))
-        super().__init__(adj, part_masks)
+        # Graph's input checks hold by construction: D is validated symmetric
+        # and 0-free, and the parts are the kernel and coset of a map to Z2
+        self.vcount, self.adj, self.parts = n, tuple(adj), part_masks
         self.group = group
         self.gens = gens
         d = gens.d
         assert all(r.bit_count() == d for r in adj), "Cayley graph must be regular"
-
-    @property
-    def degree_d(self) -> int:
-        return self.gens.d
 
 
 def build_cayley(group: GroupSpec, gens: GeneratorSet) -> CayleyGraph:
@@ -263,137 +267,60 @@ def times_k2(graph: CayleyGraph) -> CayleyGraph:
 # -- exact connectivity via max-flow -------------------------------------------
 
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
-
-    def add_arc(self, u: int, v: int, cap: int, rcap: int = 0) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(rcap)
-
-    def max_flow(self, s: int, t: int, limit: float = float("inf")) -> int:
-        flow = 0
-        while flow < limit:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                break
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while flow < limit:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                flow += pushed
-        return flow
-
-
-def _edge_flow(graph: Graph, s: int, t: int, limit: float = float("inf")) -> int:
-    net = _Dinic(graph.vcount)
-    for u, v in graph.edges():
-        net.add_arc(u, v, 1, 1)
-    return net.max_flow(s, t, limit)
-
-
-def _vertex_flow(graph: Graph, s: int, t: int, limit: float = float("inf")) -> int:
-    # split v into in=2v, out=2v+1 with unit capacity
-    net = _Dinic(2 * graph.vcount)
-    big = 1 << 40
-    for v in range(graph.vcount):
-        net.add_arc(2 * v, 2 * v + 1, 1)
-    for u, v in graph.edges():
-        net.add_arc(2 * u + 1, 2 * v, big)
-        net.add_arc(2 * v + 1, 2 * u, big)
-    return net.max_flow(2 * s + 1, 2 * t, limit)
+def _max_flow(arcs: dict[int, dict[int, int]], s: int, t: int, limit: int) -> int:
+    """The s-t max-flow, capped at `limit`, one unit per breadth-first
+    augmenting path. `arcs[u][v]` is the capacity of u -> v; it is consumed
+    as the residual network."""
+    flow = 0
+    while flow < limit:
+        parent = {s: s}
+        queue = [s]
+        for u in queue:
+            for v, cap in arcs[u].items():
+                if cap and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if t not in parent:
+            break
+        v = t
+        while v != s:
+            u = parent[v]
+            arcs[u][v] -= 1
+            arcs[v][u] = arcs[v].get(u, 0) + 1
+            v = u
+        flow += 1
+    return flow
 
 
 def edge_connectivity(graph: Graph) -> int:
-    if graph.vcount < 2:
-        return 0
-    if not graph.is_connected():
+    """Exact edge-connectivity (0 for disconnected input)."""
+    n = graph.vcount
+    if n < 2 or not graph.is_connected():
         return 0
     # every global min cut separates vertex 0 from something
-    best = min(graph.degree(v) for v in range(graph.vcount))
-    for t in range(1, graph.vcount):
-        best = min(best, _edge_flow(graph, 0, t, best))
-        if best == 0:
-            break
+    best = min(graph.degree(v) for v in range(n))
+    for t in range(1, n):
+        arcs = {u: dict.fromkeys(iter_bits(graph.adj[u]), 1) for u in range(n)}
+        best = _max_flow(arcs, 0, t, best)
     return best
 
 
 def vertex_connectivity(graph: Graph) -> int:
+    """Exact vertex-connectivity (0 for disconnected input, n - 1 for K_n)."""
     n = graph.vcount
     if n < 2 or not graph.is_connected():
         return 0
-    min_deg = min(graph.degree(v) for v in range(n))
-    best = n - 1
-    found_pair = False
-    # a minimum cut has at most min_deg vertices, so among any min_deg + 1
-    # sources at least one avoids it
-    for s in range(min(min_deg + 1, n)):
-        non_adj = graph.full_mask() & ~graph.adj[s] & ~(1 << s)
-        for t in iter_bits(non_adj):
-            found_pair = True
-            best = min(best, _vertex_flow(graph, s, t, best))
-            if best == 0:
-                return 0
-    return best if found_pair else n - 1
-
-
-def vertex_connectivity_at_least(graph: Graph, k: int) -> bool:
-    """Cheaper one-sided check used inside randomized gadget search."""
-    n = graph.vcount
-    if k <= 0:
-        return True
-    if n < 2 or not graph.is_connected():
-        return False
-    min_deg = min(graph.degree(v) for v in range(n))
-    if min_deg < k:
-        return False
-    for s in range(min(min_deg + 1, n)):
-        non_adj = graph.full_mask() & ~graph.adj[s] & ~(1 << s)
-        for t in iter_bits(non_adj):
-            if _vertex_flow(graph, s, t, k) < k:
-                return False
-    return True
-
-
-def connectivity(graph: Graph, mode: str = "edge") -> int:
-    """Exact edge- or vertex-connectivity (0 for disconnected input)."""
-    if mode == "edge":
-        return edge_connectivity(graph)
-    if mode == "vertex":
-        return vertex_connectivity(graph)
-    raise InvalidInputError(f"unknown connectivity mode {mode!r}")
+    min_deg = best = min(graph.degree(v) for v in range(n))
+    # kappa <= min_deg (K_n has no separator and kappa = n - 1 = min_deg), so
+    # a minimum separator misses one of any min_deg + 1 sources
+    for s in range(min_deg + 1):
+        for t in iter_bits(graph.full_mask() & ~graph.adj[s] & ~(1 << s)):
+            # v is split into 2v -> 2v + 1 of capacity 1; edges never bind
+            arcs = {2 * v: {2 * v + 1: 1} for v in range(n)}
+            for v in range(n):
+                arcs[2 * v + 1] = dict.fromkeys((2 * u for u in iter_bits(graph.adj[v])), n)
+            best = _max_flow(arcs, 2 * s + 1, 2 * t, best)
+    return best
 
 
 # -- serialization --------------------------------------------------------------

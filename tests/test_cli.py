@@ -40,14 +40,16 @@ def test_build_construction_and_excess(tmp_path, capsys):
 
 
 def test_build_reproducible(tmp_path, capsys):
-    p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    for p in (p1, p2):
-        code, _, _ = run_cli(["build", "gadget-ring", "--d", "3", "--t", "2",
-                              "--seed", "9", "-o", p], capsys)
+    argv = ["build", "gadget-ring", "--d", "3", "--t", "2", "--seed", "9"]
+    path = tmp_path / "a.json"
+    outputs = []
+    for extra in ([], [], ["-o", str(path)], ["-o", str(path)]):
+        code, out, err = run_cli(argv + extra, capsys)
         assert code == 0
-    d1, d2 = json.load(open(p1)), json.load(open(p2))
-    d1.pop("report"); d2.pop("report")  # header carries wall time
-    assert d1 == d2
+        assert "elapsed_s" in err
+        outputs.append(path.read_bytes() if extra else out)
+    assert outputs[0] == outputs[1]
+    assert outputs[2] == outputs[3]
 
 
 def test_table_csv(tmp_path, capsys):
@@ -59,6 +61,10 @@ def test_table_csv(tmp_path, capsys):
     assert lines[0] == "a,g,t,count"
     rows = [tuple(int(x) for x in line.split(",")) for line in lines[1:]]
     assert all(t == 3 for _, _, t, _ in rows)
+    code, out, _ = run_cli(["table", gpath, "--format", "json"], capsys)
+    assert code == 0
+    assert [tuple(int(r[k]) for k in "agt") + (int(r["count"]),)
+            for r in json.loads(out)["rows"]] == rows
 
 
 def test_non_generating_warning(tmp_path, capsys):
@@ -75,7 +81,9 @@ def test_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(["build", "--group", "Z6"], capsys)
     assert code == 3
     # argparse errors map to the usage code too, not to 2 (budget exceeded)
-    for argv in (["verify", "no-such-suite"], ["count"], ["verify", "psi", "--d", "x"]):
+    # --format belongs to `table` alone
+    for argv in (["verify", "no-such-suite"], ["count"], ["verify", "psi", "--d", "x"],
+                 ["count", "g.json", "--format", "json"]):
         code, _, err = run_cli(argv, capsys)
         assert code == 3, argv
         assert "usage" in err

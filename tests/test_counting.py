@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,17 @@ def test_known_counts():
     assert count_independent_sets(Graph([0] * 5)) == 32
     assert count_independent_sets(Graph([0])) == 2
     assert count_independent_sets(Graph([])) == 1
+
+
+def test_count_leaves_the_recursion_limit_as_it_found_it():
+    # below the 10,000 that the count raises it to while it runs
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(2000)
+    try:
+        assert count_independent_sets(cycle_graph(40)) == lucas_number(40)
+        assert sys.getrecursionlimit() == 2000
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_bruteforce_known_counts():

@@ -12,7 +12,6 @@ from cayleycount.graphs import (
     bits_list,
     build_cayley,
     closure,
-    connectivity,
     edge_connectivity,
     graph_from_json,
     graph_to_json,
@@ -239,21 +238,50 @@ def test_times_k2_single_edge():
 
 def test_connectivity_examples():
     g = c8()
-    assert connectivity(g, "edge") == 2
-    assert connectivity(g, "vertex") == 2
+    assert edge_connectivity(g) == 2
+    assert vertex_connectivity(g) == 2
     spec = make_group([4])
     k4 = build_cayley(spec, GeneratorSet(spec, {1, 2, 3}))
-    assert connectivity(k4, "edge") == 3
-    assert connectivity(k4, "vertex") == 3
-    with pytest.raises(InvalidInputError):
-        connectivity(g, "both")
+    assert edge_connectivity(k4) == 3
+    assert vertex_connectivity(k4) == 3
 
 
 def test_connectivity_disconnected_is_zero():
     spec = make_group([6])
     g = build_cayley(spec, GeneratorSet(spec, {2, 4}))
-    assert connectivity(g, "edge") == 0
-    assert connectivity(g, "vertex") == 0
+    assert edge_connectivity(g) == 0
+    assert vertex_connectivity(g) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.sampled_from((0.15, 0.35, 0.6, 1.0)), st.integers(0, 2 ** 32))
+def test_connectivity_matches_networkx_on_random_graphs(n, density, seed):
+    # density 1.0 is K_n; low densities are mostly disconnected
+    rng = random.Random(seed)
+    edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    nxg = nx.Graph(edges)
+    nxg.add_nodes_from(range(n))
+    g = Graph(adj)
+    if n >= 2:
+        assert edge_connectivity(g) == nx.edge_connectivity(nxg)
+        assert vertex_connectivity(g) == nx.node_connectivity(nxg)
+    else:
+        assert edge_connectivity(g) == vertex_connectivity(g) == 0
+    if density == 1.0 and n >= 2:
+        assert edge_connectivity(g) == vertex_connectivity(g) == n - 1
+
+
+def test_graph_rejects_asymmetric_adjacency():
+    for adj in ([0, 0b1], [0b10, 0]):
+        with pytest.raises(InvalidInputError):
+            Graph(adj)
+    # CayleyGraph skips these checks; its adjacency must pass them
+    for _, g in CORPUS:
+        Graph(g.adj, g.parts)
 
 
 def test_connectivity_against_networkx():
