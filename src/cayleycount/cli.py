@@ -48,7 +48,9 @@ def _default_seed() -> int:
 
 
 def _report_header(args: argparse.Namespace) -> dict:
-    config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    # the output path stays out, so a report does not depend on where it is written
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("func", "output") and v is not None}
     return {
         "tool": "cayleycount",
         "version": __version__,

@@ -482,10 +482,10 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
     y_side = graph.full_mask() & ~x_side
 
     # trim the closure to a core with controlled growth, then re-close it
-    d_mask = mask_of(graph.gens.ids)
+    d_mask = graph.gens.mask
     chain = chain_witness_search(spec, rec.closure, d_mask, k=3, c=c, mode="greedy")
     # [core] lies inside [A], because N(core) lies inside G
-    core_rec = closure(graph, mask_of(chain.chain[-1]), x_side)
+    core_rec = closure(graph, chain.chain[-1], x_side)
     core, g_core = core_rec.closure, core_rec.nbhd
 
     a0 = graph.nbhd_iter(core, 2) & ~core
@@ -499,7 +499,7 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
     if outside:
         chain_out = chain_witness_search(spec, outside, d_mask,
                                          k=2, c=c * math.log2(d), mode="greedy")
-        m_prime = mask_of(chain_out.chain[-1])
+        m_prime = chain_out.chain[-1]
     a2 = graph.nbhd_iter(m_prime, 3) & core
     reachable = light & graph.nbhd_iter(m_prime, 2)
     z3 = neighborhood_cover(graph, reachable, a2)

@@ -10,33 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import groups
 from .errors import InvalidGeneratorsError, InvalidInputError
-from .groups import GeneratorSet, GroupSpec
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
-
-
-def mask_of(ids) -> int:
-    out = 0
-    for i in ids:
-        out |= 1 << i
-    return out
-
-
-def bits_list(mask: int) -> list[int]:
-    return list(iter_bits(mask))
+from .groups import GeneratorSet, GroupSpec, bits_list, iter_bits, mask_of
 
 
 class Graph:
-    """Undirected graph over vertex ids 0..vcount-1 with bitmask adjacency."""
+    """Undirected graph over vertex ids 0..vcount-1 with bitmask adjacency,
+    optionally with a bipartition `parts` into two independent sets."""
 
     __slots__ = ("vcount", "adj", "parts")
 
@@ -60,6 +43,8 @@ class Graph:
             x, y = parts
             if x | y != full or x & y:
                 raise InvalidInputError("parts must partition the vertex set")
+            if any(row & (x if x >> v & 1 else y) for v, row in enumerate(self.adj)):
+                raise InvalidInputError("parts must be independent sets")
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -157,19 +142,16 @@ class CayleyGraph(Graph):
         if gens.spec != group:
             raise InvalidGeneratorsError("generator set built for a different group")
         n = group.order
+        ids = bits_list(gens.mask)
         adj = [0] * n
         for u in range(n):
             row = 0
-            for x in gens.ids:
+            for x in ids:
                 row |= 1 << groups.add_ids(group, u, x)
             adj[u] = row
-        parts = groups.bipartition(group, gens)
-        part_masks = None
-        if parts is not None:
-            part_masks = (mask_of(parts[0]), mask_of(parts[1]))
         # Graph's input checks hold by construction: D is validated symmetric
         # and 0-free, and the parts are the kernel and coset of a map to Z2
-        self.vcount, self.adj, self.parts = n, tuple(adj), part_masks
+        self.vcount, self.adj, self.parts = n, tuple(adj), groups.bipartition(group, gens)
         self.group = group
         self.gens = gens
         d = gens.d
@@ -258,7 +240,7 @@ def times_k2(graph: CayleyGraph) -> CayleyGraph:
     src_factors = graph.group.factors + (2,)
     target, iso = groups.canonical_iso(src_factors)
     new_gens = set()
-    for x in graph.gens.ids:
+    for x in iter_bits(graph.gens.mask):
         coords = groups.id_to_coords(graph.group, x) + (1,)
         new_gens.add(groups.coords_to_id(target, iso(coords)))
     return CayleyGraph(target, GeneratorSet(target, new_gens))
@@ -355,10 +337,7 @@ def graph_from_json(data: dict) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     parts = (mask_of(part_ids[0]), mask_of(part_ids[1])) if part_ids else None
-    graph = Graph(adj, parts)
-    if parts is not None and any(graph.nbhd(side) & side for side in parts):
-        raise InvalidInputError("parts must be independent sets")
-    return graph
+    return Graph(adj, parts)
 
 
 def edge_list_text(graph: Graph) -> str:

@@ -5,6 +5,10 @@ Groups are products of cyclic factors, kept in invariant-factor form
 travel in two representations: coordinate tuples at the API boundary and
 dense integer ids (mixed-radix rank of the coordinates, first factor most
 significant) inside all kernels.
+
+A set of elements is an int bitmask, bit x for element id x: generator
+sets, subgroups and the bipartition sides alike.  Collections of ids are
+taken only where sets enter the program (`GeneratorSet`, `symmetrize`).
 """
 
 from __future__ import annotations
@@ -124,6 +128,24 @@ def _abelian_groups(order: int) -> tuple[GroupSpec, ...]:
 # -- element representations -------------------------------------------------
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
+
+def mask_of(ids) -> int:
+    out = 0
+    for i in ids:
+        out |= 1 << i
+    return out
+
+
+def bits_list(mask: int) -> list[int]:
+    return list(iter_bits(mask))
+
+
 @lru_cache(maxsize=None)
 def _strides(spec: GroupSpec) -> tuple[int, ...]:
     out = []
@@ -220,63 +242,67 @@ def translations(spec: GroupSpec) -> _Translations:
     return _Translations(spec)
 
 
-def subgroup_generated(spec: GroupSpec, gens: Iterable[int]) -> frozenset[int]:
-    """Closure of the generators (plus identity) under addition, as ids."""
-    gens = [g % spec.order if len(spec.factors) == 1 else g for g in gens]
-    seen = {0}
+def subgroup_generated(spec: GroupSpec, gens: int) -> int:
+    """Closure of the generators (plus identity) under addition."""
+    gens = bits_list(gens)
+    seen = 1
     frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
                 y = add_ids(spec, x, g)
-                if y not in seen:
-                    seen.add(y)
+                if not seen >> y & 1:
+                    seen |= 1 << y
                     nxt.append(y)
         frontier = nxt
-    return frozenset(seen)
+    return seen
 
 
-def is_generating(spec: GroupSpec, gens: Iterable[int]) -> bool:
-    return len(subgroup_generated(spec, gens)) == spec.order
+def is_generating(spec: GroupSpec, gens: int) -> bool:
+    return subgroup_generated(spec, gens).bit_count() == spec.order
 
 
 class GeneratorSet:
-    """A symmetric generator set D with 0 excluded.
+    """A symmetric generator set D with 0 excluded, built from element ids
+    and kept as the mask of D.
 
     `d2` (the doubling |2D|) is computed on first access.
     """
 
     def __init__(self, spec: GroupSpec, elems: Iterable[int]):
-        ids = frozenset(elems)
-        if not ids:
-            raise InvalidGeneratorsError("generator set must be nonempty")
-        if 0 in ids:
-            raise InvalidGeneratorsError("0 in D would create self-loops")
-        for x in ids:
+        mask = 0
+        for x in elems:
             if not (0 <= x < spec.order):
                 raise InvalidGeneratorsError(f"element id {x} out of range")
-            if neg_id(spec, x) not in ids:
+            mask |= 1 << x
+        if not mask:
+            raise InvalidGeneratorsError("generator set must be nonempty")
+        if mask & 1:
+            raise InvalidGeneratorsError("0 in D would create self-loops")
+        for x in iter_bits(mask):
+            if not mask >> neg_id(spec, x) & 1:
                 raise InvalidGeneratorsError(f"D is not symmetric: missing -({x})")
         self.spec = spec
-        self.ids = ids
+        self.mask = mask
         self._d2: Optional[int] = None
 
     @property
     def d(self) -> int:
-        return len(self.ids)
+        return self.mask.bit_count()
 
     @property
     def d2(self) -> int:
         if self._d2 is None:
-            self._d2 = len({add_ids(self.spec, x, y) for x in self.ids for y in self.ids})
+            ids = bits_list(self.mask)
+            self._d2 = len({add_ids(self.spec, x, y) for x in ids for y in ids})
         return self._d2
 
     def coords(self) -> list[tuple[int, ...]]:
-        return [id_to_coords(self.spec, x) for x in sorted(self.ids)]
+        return [id_to_coords(self.spec, x) for x in iter_bits(self.mask)]
 
     def __repr__(self) -> str:
-        return f"GeneratorSet({self.spec}, {sorted(self.ids)})"
+        return f"GeneratorSet({self.spec}, {bits_list(self.mask)})"
 
 
 def symmetrize(spec: GroupSpec, elems: Iterable[int]) -> frozenset[int]:
@@ -334,9 +360,9 @@ def _gf2_lex_smallest(rows: list[tuple[int, int]], nvars: int) -> Optional[list[
     return assign
 
 
-def bipartition(spec: GroupSpec, gens: GeneratorSet) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+def bipartition(spec: GroupSpec, gens: GeneratorSet) -> Optional[tuple[int, int]]:
     """Kernel/coset split under a homomorphism to Z2 sending every generator
-    to 1, if one exists.  Returns (X, Y) as id sets, or None.
+    to 1, if one exists.  Returns the masks (X, Y), or None.
 
     When several index-2 subgroups qualify, the one given by the
     lexicographically smallest choice of factor images is used.
@@ -345,7 +371,7 @@ def bipartition(spec: GroupSpec, gens: GeneratorSet) -> Optional[tuple[frozenset
     even_idx = [i for i, m in enumerate(spec.factors) if m % 2 == 0]
     pos = {i: j for j, i in enumerate(even_idx)}
     rows = []
-    for x in sorted(gens.ids):
+    for x in iter_bits(gens.mask):
         coords = id_to_coords(spec, x)
         mask = 0
         for i in even_idx:
@@ -358,11 +384,11 @@ def bipartition(spec: GroupSpec, gens: GeneratorSet) -> Optional[tuple[frozenset
     chi = [0] * k
     for i, j in zip(even_idx, range(len(even_idx))):
         chi[i] = sol[j]
-    xs, ys = set(), set()
+    xs = 0
     for eid, coords in enumerate(elements(spec)):
-        val = sum(c * w for c, w in zip(coords, chi)) % 2
-        (xs if val == 0 else ys).add(eid)
-    return frozenset(xs), frozenset(ys)
+        if sum(c * w for c, w in zip(coords, chi)) % 2 == 0:
+            xs |= 1 << eid
+    return xs, ((1 << spec.order) - 1) ^ xs
 
 
 # -- isomorphism to canonical form (used for graph products) ------------------

@@ -3,9 +3,9 @@ searches for the classical sumset inequalities (Plünnecke-Ruzsa-Petridis,
 Olson), iterated-growth checks, generator thinning, and the expansion
 corollaries used by the container machinery.
 
-Sets of group elements are int bitmasks, bit x for element id x; `sumset`
-is the one kernel.  Report fields read as sets, such as `PrpWitness.witness`
-and `ChainWitness.chain`, are frozensets of ids.
+Sets of group elements are int bitmasks, bit x for element id x, in the
+arguments and in every result field (`PrpWitness.witness`,
+`ChainWitness.chain`, `SumsetStats.base`); `sumset` is the one kernel.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Optional
 
 from . import groups
 from .errors import InvalidInputError, SearchSpaceTooLargeError
-from .graphs import iter_bits, mask_of
-from .groups import GeneratorSet, GroupSpec
+from .groups import GeneratorSet, GroupSpec, bits_list, iter_bits, mask_of
 
 DEFAULT_WITNESS_CAP = 20
 DEFAULT_CHAIN_CAP = 16
@@ -51,10 +50,6 @@ def iterated_sumset(spec: GroupSpec, a: int, d: int, i: int) -> int:
     return a
 
 
-def _ids(mask: int) -> frozenset[int]:
-    return frozenset(iter_bits(mask))
-
-
 # -- doubling statistics --------------------------------------------------------
 
 
@@ -64,18 +59,18 @@ class SumsetStats:
     r_u = #{ {x, y} in D, x != y : x + y = u }."""
 
     spec: GroupSpec
-    base: frozenset[int]
-    double: frozenset[int]
+    base: int
+    double: int
     reps: dict[int, int]
 
     @property
     def doubling(self) -> int:
-        return len(self.double)
+        return self.double.bit_count()
 
-    def heavy(self, alpha: float) -> frozenset[int]:
+    def heavy(self, alpha: float) -> int:
         """Elements of 2D with at least |D| / (2 alpha) representations."""
-        threshold = len(self.base) / (2 * alpha)
-        return frozenset(u for u in self.double if self.reps.get(u, 0) >= threshold)
+        threshold = self.base.bit_count() / (2 * alpha)
+        return mask_of(u for u in iter_bits(self.double) if self.reps.get(u, 0) >= threshold)
 
 
 def sumset_stats(spec: GroupSpec, base: int) -> SumsetStats:
@@ -88,7 +83,7 @@ def sumset_stats(spec: GroupSpec, base: int) -> SumsetStats:
         # is one pair
         for u in iter_bits(sumset(spec, rest, low)):
             reps[u] = reps.get(u, 0) + 1
-    return SumsetStats(spec, _ids(base), _ids(sumset(spec, base, base)), reps)
+    return SumsetStats(spec, base, sumset(spec, base, base), reps)
 
 
 # -- iterated growth (the m + d^i t bound) ---------------------------------------
@@ -129,7 +124,7 @@ def iterated_growth_check(spec: GroupSpec, m_set: int, d_set: int, i: int) -> Gr
 class PrpWitness:
     alpha: Fraction
     j: int
-    witness: frozenset[int]
+    witness: int
     lhs: int
     rhs: Fraction
 
@@ -159,7 +154,7 @@ def prp_witness_search(spec: GroupSpec, m_set: int, d_set: int,
             lhs = sumset(spec, sub, jd).bit_count()
             if lhs <= floor_rhs:
                 alpha = Fraction(md, m)
-                return PrpWitness(alpha, j, _ids(sub), lhs, alpha ** j * size)
+                return PrpWitness(alpha, j, sub, lhs, alpha ** j * size)
     raise AssertionError(
         "no witness found: the inequality is a theorem, this is a bug")
 
@@ -208,7 +203,7 @@ def olson_check(spec: GroupSpec, m_set: int, n_set: int) -> OlsonReport:
 
 @dataclass
 class ChainWitness:
-    chain: list[frozenset[int]]      # M = M^(0) >= M^(1) >= ... >= M^(k)
+    chain: list[int]                 # M = M^(0) >= M^(1) >= ... >= M^(k)
     success: bool
     mode: str                        # "exhaustive" or "greedy"
     t: int
@@ -278,7 +273,7 @@ def chain_witness_search(spec: GroupSpec, m_set: int, d_set: int,
 
         found = dfs(m_set, 1)
         steps = found or []
-        return ChainWitness([_ids(m_set)] + [_ids(s) for s, _ in steps], found is not None,
+        return ChainWitness([m_set] + [s for s, _ in steps], found is not None,
                             "exhaustive", t, budget, [b for _, b in steps])
 
     # greedy
@@ -304,7 +299,7 @@ def chain_witness_search(spec: GroupSpec, m_set: int, d_set: int,
         if not success:
             break
         chain.append(current)
-    return ChainWitness([_ids(s) for s in chain], success, "greedy", t, budget, bounds)
+    return ChainWitness(chain, success, "greedy", t, budget, bounds)
 
 
 # -- generator thinning -------------------------------------------------------------
@@ -340,16 +335,16 @@ class ThinningReport:
     precondition_doubling_ok: bool
 
 
-def minimal_generating_subset(spec: GroupSpec, d_set: int) -> list[int]:
+def minimal_generating_subset(spec: GroupSpec, d_set: int) -> int:
     """Greedy minimal generating subset: scan ids in order, keep an element
     iff it enlarges the generated subgroup.  At most log2(order) elements."""
-    chosen: list[int] = []
-    current = groups.subgroup_generated(spec, [])
+    chosen = 0
+    current = groups.subgroup_generated(spec, 0)
     for x in iter_bits(d_set):
-        if x not in current:
-            chosen.append(x)
+        if not current >> x & 1:
+            chosen |= 1 << x
             current = groups.subgroup_generated(spec, chosen)
-            if len(current) == spec.order:
+            if current.bit_count() == spec.order:
                 break
     return chosen
 
@@ -363,7 +358,7 @@ def thin_generators(spec: GroupSpec, gens: GeneratorSet,
     Symmetry and generation are exact for every seed; the size window and
     the restored doubling are probabilistic and only reported.
     """
-    if not groups.is_generating(spec, gens.ids):
+    if not groups.is_generating(spec, gens.mask):
         raise InvalidInputError("D must generate the group")
     d = gens.d
     alpha = cfg.alpha
@@ -371,16 +366,12 @@ def thin_generators(spec: GroupSpec, gens: GeneratorSet,
 
     rng = random.Random(f"thin:{cfg.seed}")
     p = cfg.p
-    d_mask = mask_of(gens.ids)
-    picked = [x for x in iter_bits(d_mask) if rng.random() < p]
-    s_set = minimal_generating_subset(spec, d_mask)
-    thin_mask = 0
-    for x in picked + s_set:
-        thin_mask |= 1 << x | 1 << groups.neg_id(spec, x)
-    thin = GeneratorSet(spec, iter_bits(thin_mask))
+    picked = [x for x in iter_bits(gens.mask) if rng.random() < p]
+    s_set = minimal_generating_subset(spec, gens.mask)
+    thin = GeneratorSet(spec, groups.symmetrize(spec, picked + bits_list(s_set)))
 
     window = (d / (20 * alpha), 2 * d / (5 * alpha))
-    doubled = sumset(spec, thin_mask, thin_mask).bit_count()
+    doubled = sumset(spec, thin.mask, thin.mask).bit_count()
     report = ThinningReport(
         d_size=d,
         thin_size=thin.d,
@@ -389,10 +380,10 @@ def thin_generators(spec: GroupSpec, gens: GeneratorSet,
         doubling_lhs=doubled,
         doubling_rhs=alpha * thin.d,
         doubling_ok=doubled >= alpha * thin.d,
-        generating=groups.is_generating(spec, thin.ids),
+        generating=groups.is_generating(spec, thin.mask),
         symmetric=True,  # enforced by the GeneratorSet constructor
-        minimal_gen_size=len(s_set),
-        minimal_gen_log_ok=len(s_set) <= math.log2(spec.order),
+        minimal_gen_size=s_set.bit_count(),
+        minimal_gen_log_ok=s_set.bit_count() <= math.log2(spec.order),
         precondition_doubling_ok=precondition_ok,
     )
     return thin, report
@@ -422,7 +413,7 @@ def basic_expansion_check(spec: GroupSpec, m_set: int, gens: GeneratorSet,
     """Verify the three expansion facts linking small neighborhoods to
     doubling, on one instance.  Each sub-check reports whether its
     hypotheses held; conclusions are only asserted when they did."""
-    d_set = mask_of(gens.ids)
+    d_set = gens.mask
     d = d_set.bit_count()
     d2 = sumset(spec, d_set, d_set).bit_count()
     log_d = math.log2(d) if d >= 2 else 0.0
@@ -443,9 +434,8 @@ def basic_expansion_check(spec: GroupSpec, m_set: int, gens: GeneratorSet,
             rhs = d2 * (1 - 1 / log_d**2)
             partial = SubCheck(True, lhs >= rhs, lhs, rhs)
 
-    bip = groups.bipartition(spec, gens)
-    sides = [mask_of(part) for part in bip] if bip is not None else []
-    generating = groups.is_generating(spec, gens.ids)
+    sides = groups.bipartition(spec, gens) or ()
+    generating = groups.is_generating(spec, d_set)
 
     side = next((part for part in sides if not m_set & ~part), None)
     m = m_set.bit_count()

@@ -55,18 +55,16 @@ class SweepResult:
 # -- corpus ---------------------------------------------------------------------
 
 
-def symmetric_generator_sets(spec: GroupSpec) -> Iterator[frozenset[int]]:
-    """All nonempty symmetric subsets of the nonzero elements, built from
-    the negation orbits."""
-    units: list[frozenset[int]] = []
+def symmetric_generator_sets(spec: GroupSpec) -> Iterator[int]:
+    """All nonempty symmetric subsets of the nonzero elements, as masks
+    built from the negation orbits."""
+    units: list[int] = []
     for x in range(1, spec.order):
         nx = groups.neg_id(spec, x)
-        if nx == x:
-            units.append(frozenset({x}))
-        elif x < nx:
-            units.append(frozenset({x, nx}))
+        if x <= nx:
+            units.append(1 << x | 1 << nx)
     for pick in range(1, 1 << len(units)):
-        d: frozenset[int] = frozenset()
+        d = 0
         rest = pick
         while rest:
             lsb = rest & -rest
@@ -75,17 +73,18 @@ def symmetric_generator_sets(spec: GroupSpec) -> Iterator[frozenset[int]]:
         yield d
 
 
-def corpus_sets(orders: Iterable[int]) -> Iterator[tuple[GroupSpec, frozenset[int]]]:
-    """Every (group, symmetric generator set) of the given orders."""
+def corpus_sets(orders: Iterable[int]) -> Iterator[tuple[GroupSpec, int]]:
+    """Every (group, symmetric generator set mask) of the given orders."""
     for order in orders:
         for spec in groups.enumerate_abelian_groups(order):
-            for d_ids in symmetric_generator_sets(spec):
-                yield spec, d_ids
+            for d_set in symmetric_generator_sets(spec):
+                yield spec, d_set
 
 
 def corpus_graphs(max_order: int = 16, min_order: int = 2) -> Iterator[tuple[str, CayleyGraph]]:
-    for spec, d_ids in corpus_sets(range(min_order, max_order + 1)):
-        yield f"{spec}|D={sorted(d_ids)}", build_cayley(spec, GeneratorSet(spec, d_ids))
+    for spec, d_set in corpus_sets(range(min_order, max_order + 1)):
+        graph = build_cayley(spec, GeneratorSet(spec, iter_bits(d_set)))
+        yield f"{spec}|D={bits_list(d_set)}", graph
 
 
 def cycle_graph(n: int) -> CayleyGraph:
@@ -211,18 +210,18 @@ def sweep_main_trend(max_order: int = 16) -> SweepResult:
     max_bip_ratio: Fraction = Fraction(0)
     max_bip_label = ""
     complete_ok = True
-    for spec, d_ids in corpus_sets(range(2, max_order + 1, 2)):
+    for spec, d_set in corpus_sets(range(2, max_order + 1, 2)):
         n = spec.order // 2
-        graph = build_cayley(spec, GeneratorSet(spec, d_ids))
+        graph = build_cayley(spec, GeneratorSet(spec, iter_bits(d_set)))
         if not graph.is_connected():
             continue
         res.checked += 1
         ratio = Fraction(counting.count_independent_sets(graph), 2 ** (n + 1))
         if ratio > max_ratio:
-            max_ratio, max_label = ratio, f"{spec}|{sorted(d_ids)}"
-        if graph.parts is not None and len(d_ids) >= math.log2(max(n, 2)):
+            max_ratio, max_label = ratio, f"{spec}|{bits_list(d_set)}"
+        if graph.parts is not None and graph.gens.d >= math.log2(max(n, 2)):
             if ratio > max_bip_ratio:
-                max_bip_ratio, max_bip_label = ratio, f"{spec}|{sorted(d_ids)}"
+                max_bip_ratio, max_bip_label = ratio, f"{spec}|{bits_list(d_set)}"
             x_mask, y_mask = graph.parts
             complete = all(graph.adj[v] == y_mask for v in iter_bits(x_mask))
             if complete and ratio != Fraction(2 ** (n + 1) - 1, 2 ** (n + 1)):

@@ -217,9 +217,9 @@ def test_boundary_container_core_is_the_closed_chain_end():
     for rec in records:
         bc = boundary_container(g, rec)
         assert not bc.fallback
-        chain = chain_witness_search(g.group, rec.closure, mask_of(g.gens.ids), k=3,
+        chain = chain_witness_search(g.group, rec.closure, g.gens.mask, k=3,
                                      c=math.log2(d) ** 2, mode="greedy")
-        core = mask_of(chain.chain[-1])
+        core = chain.chain[-1]
         g_core = g.nbhd(core)
         core_closed = 0
         for v in bits_list(x_side):

@@ -63,12 +63,12 @@ def test_neighborhood_matches_sumset_oracle():
     # two independent implementations of A + iD must agree
     rng = random.Random(7)
     for label, g in list(corpus_graphs(10))[::7]:
-        spec, ids = g.group, g.gens.ids
+        spec = g.group
         sample = rng.sample(range(spec.order), rng.randint(1, spec.order))
         mask = mask_of(sample)
         for i in range(3):
             from_graph = set(bits_list(neighborhood(g, mask, i)))
-            from_sums = set(bits_list(iterated_sumset(spec, mask, mask_of(ids), i)))
+            from_sums = set(bits_list(iterated_sumset(spec, mask, g.gens.mask, i)))
             assert from_graph == from_sums, label
 
 
@@ -279,9 +279,16 @@ def test_graph_rejects_asymmetric_adjacency():
     for adj in ([0, 0b1], [0b10, 0]):
         with pytest.raises(InvalidInputError):
             Graph(adj)
-    # CayleyGraph skips these checks; its adjacency must pass them
+    # CayleyGraph skips these checks; its adjacency and bipartition must pass them
     for _, g in CORPUS:
         Graph(g.adj, g.parts)
+
+
+def test_graph_rejects_parts_that_are_not_independent():
+    # one edge with both ends on side X
+    with pytest.raises(InvalidInputError):
+        Graph([0b10, 0b01], parts=(0b11, 0))
+    assert Graph([0b10, 0b01], parts=(0b01, 0b10)).parts == (0b01, 0b10)
 
 
 def test_connectivity_against_networkx():

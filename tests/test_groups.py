@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cayleycount import groups
 from cayleycount.errors import InvalidGeneratorsError, InvalidGroupError
+from cayleycount.sumsets import minimal_generating_subset, sumset
 from cayleycount.groups import (
     GeneratorSet,
     bipartition,
@@ -13,7 +14,9 @@ from cayleycount.groups import (
     elements,
     enumerate_abelian_groups,
     id_to_coords,
+    iter_bits,
     make_group,
+    mask_of,
     parse_group,
     subgroup_generated,
     symmetrize,
@@ -103,18 +106,18 @@ def test_enumerate_abelian_groups_counts_match_partition_oracle():
 
 def test_subgroup_generated_examples():
     z8 = make_group([8])
-    assert sorted(subgroup_generated(z8, [2, 6])) == [0, 2, 4, 6]
-    assert len(subgroup_generated(z8, [1, 7])) == 8
+    assert subgroup_generated(z8, mask_of([2, 6])) == mask_of([0, 2, 4, 6])
+    assert subgroup_generated(z8, mask_of([1, 7])).bit_count() == 8
     g24 = make_group([2, 4])
-    s = [coords_to_id(g24, (1, 1)), coords_to_id(g24, (1, 3))]
+    s = mask_of([coords_to_id(g24, (1, 1)), coords_to_id(g24, (1, 3))])
     closure = subgroup_generated(g24, s)
     expected = {(0, 0), (1, 1), (0, 2), (1, 3)}
-    assert {id_to_coords(g24, x) for x in closure} == expected
+    assert {id_to_coords(g24, x) for x in iter_bits(closure)} == expected
 
 
 def test_subgroup_generated_idempotent():
     z12 = make_group([12])
-    first = subgroup_generated(z12, [8, 4])
+    first = subgroup_generated(z12, mask_of([8, 4]))
     assert subgroup_generated(z12, first) == first
 
 
@@ -126,23 +129,27 @@ def test_generator_set_validation():
         GeneratorSet(z8, {0, 1, 7})    # identity not allowed
     with pytest.raises(InvalidGeneratorsError):
         GeneratorSet(z8, set())
+    with pytest.raises(InvalidGeneratorsError):
+        GeneratorSet(z8, {-1, 1})      # id out of range
     gens = GeneratorSet(z8, {1, 7})
+    assert gens.mask == mask_of([1, 7])
     assert gens.d == 2
     assert gens.d2 == 3  # {0, 2, 6}
+    assert gens.coords() == [(1,), (7,)]
 
 
 def test_bipartition_examples():
     z6 = make_group([6])
     parts = bipartition(z6, GeneratorSet(z6, {1, 5}))
     assert parts is not None
-    assert parts[0] == frozenset({0, 2, 4})
-    assert parts[1] == frozenset({1, 3, 5})
+    assert parts[0] == mask_of([0, 2, 4])
+    assert parts[1] == mask_of([1, 3, 5])
     assert bipartition(z6, GeneratorSet(z6, {1, 2, 4, 5})) is None
     z22 = make_group([2, 2])
     d = {coords_to_id(z22, (0, 1)), coords_to_id(z22, (1, 0))}
     parts = bipartition(z22, GeneratorSet(z22, d))
     assert parts is not None
-    assert {id_to_coords(z22, x) for x in parts[0]} == {(0, 0), (1, 1)}
+    assert {id_to_coords(z22, x) for x in iter_bits(parts[0])} == {(0, 0), (1, 1)}
 
 
 def test_symmetrize():
@@ -165,6 +172,40 @@ def test_group_laws(spec, data):
     assert add(spec, a, b) == add(spec, b, a)
     assert add(spec, add(spec, a, b), c) == add(spec, a, add(spec, b, c))
     assert add(spec, a, 0) == a
+
+
+multi_factor_groups = st.sampled_from([spec for n in range(4, 33)
+                                       for spec in enumerate_abelian_groups(n)
+                                       if len(spec.factors) > 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_factor_groups, st.data())
+def test_mask_valued_group_functions_match_oracles(spec, data):
+    order = spec.order
+    gens = data.draw(st.sets(st.integers(0, order - 1), max_size=5))
+    # breadth-first closure of {0} under adding each generator
+    oracle, frontier = {0}, {0}
+    while frontier:
+        frontier = {groups.add_ids(spec, x, g) for x in frontier for g in gens} - oracle
+        oracle |= frontier
+    assert subgroup_generated(spec, mask_of(gens)) == mask_of(oracle)
+    assert groups.is_generating(spec, mask_of(gens)) == (len(oracle) == order)
+
+    d_ids = symmetrize(spec, data.draw(st.sets(st.integers(1, order - 1), min_size=1,
+                                               max_size=5)))
+    d = GeneratorSet(spec, d_ids)
+    assert d.mask == mask_of(d_ids)
+    least = minimal_generating_subset(spec, d.mask)
+    assert least & ~d.mask == 0
+    assert subgroup_generated(spec, least) == subgroup_generated(spec, d.mask)
+    parts = bipartition(spec, d)
+    if parts is not None:
+        x, y = parts
+        assert x | y == (1 << order) - 1 and x & y == 0
+        assert x & 1
+        assert sumset(spec, x, d.mask) & x == 0
+        assert sumset(spec, y, d.mask) & y == 0
 
 
 def test_coords_id_roundtrip():
