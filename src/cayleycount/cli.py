@@ -67,6 +67,11 @@ def _emit(args: argparse.Namespace, payload: str) -> None:
         sys.stdout.write(payload)
 
 
+def _usage(message: str) -> int:
+    print(message, file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _parse_generators(spec: groups.GroupSpec, text: str, symmetrize: bool) -> GeneratorSet:
     text = text.strip()
     ids: set[int] = set()
@@ -101,8 +106,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         data = graph_to_json(graph, {"construction": "odd-circulant", "n": args.n, "d": args.d})
     else:
         if not args.group or not args.gens:
-            print("build: need --group and --gens (or a construction name)", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage("build: need --group and --gens (or a construction name)")
         spec = groups.parse_group(args.group)
         gens = _parse_generators(spec, args.gens, args.symmetrize)
         graph = build_cayley(spec, gens)
@@ -175,8 +179,7 @@ def cmd_containers(args: argparse.Namespace) -> int:
     phi-approximation, refined psi-approximation."""
     graph = _load_graph(args.graph)
     if not isinstance(graph, CayleyGraph):
-        print("containers: needs a Cayley graph input", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("containers: needs a Cayley graph input")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["record", "a", "g", "t", "c_size", "f_size", "s_size",
@@ -199,27 +202,37 @@ def cmd_containers(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if violation else EXIT_OK
 
 
+# The `verify` flags each suite takes.  Each fills the suite's keyword of the
+# same name but for the RENAMES, and psi and phi take --n with --d as their
+# one (n, d) instance.  --seed, which every command has, reaches the suites
+# that list it.
+SUITE_FLAGS: dict[str, tuple[str, ...]] = {
+    "engine": ("max_order",), "lucas": (), "kdd": (), "zhao": ("max_vertices",),
+    "side-sum": ("max_order",), "trend": ("max_order",), "olson": ("max_order",),
+    "prp": ("max_order",), "chain": ("max_order",), "growth": ("trials", "max_order", "seed"),
+    "thinning": ("trials",), "psi": ("n", "d"), "phi": ("n", "d"),
+    "lovasz-stein": ("trials", "seed"), "gadget-ring": ("d", "seed"), "odd-circulant": ("n", "d"),
+}
+RENAMES = {("thinning", "trials"): "seeds", ("odd-circulant", "n"): "max_n"}
+VERIFY_FLAGS = ("max_order", "max_vertices", "trials", "n", "d")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.suite == "zhao" and args.max_vertices:
-        kwargs["max_vertices"] = args.max_vertices
-    if args.suite == "olson" and args.max_order:
-        kwargs["max_order"] = args.max_order
-    if args.suite in ("prp", "chain") and args.max_order:
-        kwargs["max_order"] = args.max_order
-    # without --trials each sweep keeps its own default
-    if args.suite == "growth":
-        kwargs["seed"] = args.seed
-        if args.trials is not None:
-            kwargs["trials"] = args.trials
-    if args.suite == "thinning" and args.trials is not None:
-        kwargs["seeds"] = args.trials
-    if args.suite in ("psi", "phi") and args.n and args.d:
-        kwargs["instances"] = [(args.n, args.d)]
-    if args.suite == "odd-circulant" and args.n:
-        kwargs["max_n"] = args.n
+    suite, takes = args.suite, SUITE_FLAGS[args.suite]
+    # without a flag each sweep keeps its own default
+    given = {f: getattr(args, f) for f in VERIFY_FLAGS if getattr(args, f) is not None}
+    for flag in given:
+        if flag not in takes:
+            return _usage(f"verify {suite}: takes no --{flag.replace('_', '-')}")
+    if "seed" in takes:
+        given["seed"] = args.seed
+    if suite in ("psi", "phi") and given:
+        if len(given) == 1:
+            return _usage(f"verify {suite}: --n and --d go together")
+        given = {"instances": [(args.n, args.d)]}
+    kwargs = {RENAMES.get((suite, f), f): value for f, value in given.items()}
     try:
-        result = verify.ALL_SUITES[args.suite](**kwargs)
+        result = verify.ALL_SUITES[suite](**kwargs)
     except (InstanceTooLargeError, SearchSpaceTooLargeError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -234,16 +234,13 @@ def heavy_neighborhood(graph: Graph, rec: ClosedSetRecord, alpha: float) -> int:
 # -- tensor double cover -------------------------------------------------------
 
 
-def times_k2(graph: CayleyGraph) -> CayleyGraph:
-    """The bipartite double cover, realized as the Cayley graph on
-    group x Z2 with every generator tagged by 1 (then canonicalized)."""
-    src_factors = graph.group.factors + (2,)
-    target, iso = groups.canonical_iso(src_factors)
-    new_gens = set()
-    for x in iter_bits(graph.gens.mask):
-        coords = groups.id_to_coords(graph.group, x) + (1,)
-        new_gens.add(groups.coords_to_id(target, iso(coords)))
-    return CayleyGraph(target, GeneratorSet(target, new_gens))
+def times_k2(graph: Graph) -> Graph:
+    """The bipartite double cover Gamma x K2: vertex v of Gamma becomes v
+    (the low layer) and v + n (the high layer), and each edge uv becomes
+    the two edges u ~ v + n and v ~ u + n.  The parts are the two layers."""
+    n = graph.vcount
+    low = (1 << n) - 1
+    return Graph([row << n for row in graph.adj] + list(graph.adj), parts=(low, low << n))
 
 
 # -- exact connectivity via max-flow -------------------------------------------
@@ -323,13 +320,26 @@ def graph_to_json(graph: Graph, provenance: Optional[dict] = None) -> dict:
     return out
 
 
+def _ints(values, what: str) -> list[int]:
+    """`values` if it is a JSON array of integers (no floats, strings or
+    booleans), else InvalidInputError."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise InvalidInputError(f"{what} must be a list of integers, got {values!r}")
+    return values
+
+
 def graph_from_json(data: dict) -> Graph:
     if "group" in data:
         spec = groups.make_group(data["group"]["factors"])
-        ids = {groups.coords_to_id(spec, tuple(c)) for c in data["generators"]}
+        ids = {groups.coords_to_id(spec, _ints(c, "generator coordinates"))
+               for c in data["generators"]}
         return CayleyGraph(spec, GeneratorSet(spec, ids))
     vcount, edges, part_ids = data["vcount"], data["edges"], data.get("parts")
-    for i in chain(*edges, *(part_ids or ())):
+    _ints([vcount], "vcount")
+    for edge in edges:
+        if len(_ints(edge, "an edge")) != 2:
+            raise InvalidInputError(f"an edge has two endpoints, got {edge!r}")
+    for i in chain(*edges, *(_ints(part, "a part") for part in part_ids or ())):
         if not 0 <= i < vcount:
             raise InvalidInputError(f"vertex id {i} outside 0..{vcount - 1}")
     adj = [0] * vcount

@@ -9,6 +9,10 @@ significant) inside all kernels.
 A set of elements is an int bitmask, bit x for element id x: generator
 sets, subgroups and the bipartition sides alike.  Collections of ids are
 taken only where sets enter the program (`GeneratorSet`, `symmetrize`).
+
+`sumset` is the one A + B kernel on such masks: it applies the masked
+rotations of `translations`, one per nonzero coordinate of each element of
+the smaller set.  Subgroups are its closure (`subgroup_generated`).
 """
 
 from __future__ import annotations
@@ -18,14 +22,14 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, prod
+from math import prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidGeneratorsError, InvalidGroupError, InvalidInputError
 
 # Addition tables are only materialized for groups up to this order;
 # larger groups fall back to per-call coordinate arithmetic.
-_TABLE_ORDER_LIMIT = 4096
+_TABLE_ORDER_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -242,20 +246,28 @@ def translations(spec: GroupSpec) -> _Translations:
     return _Translations(spec)
 
 
+def sumset(spec: GroupSpec, a: int, b: int) -> int:
+    """A + B = {x + y}; empty if either side is empty."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    steps = translations(spec)
+    out = 0
+    while a:
+        low = a & -a
+        x = b                   # becomes b + y, y the element of bit `low`
+        for lo, hi, up, down in steps[low.bit_length() - 1]:
+            x = ((x & lo) << up) | ((x & hi) >> down)
+        out |= x
+        a ^= low
+    return out
+
+
 def subgroup_generated(spec: GroupSpec, gens: int) -> int:
-    """Closure of the generators (plus identity) under addition."""
-    gens = bits_list(gens)
-    seen = 1
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = add_ids(spec, x, g)
-                if not seen >> y & 1:
-                    seen |= 1 << y
-                    nxt.append(y)
-        frontier = nxt
+    """Closure of the generators (plus identity) under addition: {0} grown
+    by one step of + gens until it stops growing."""
+    seen, grown = 0, 1
+    while grown != seen:
+        seen, grown = grown, grown | sumset(spec, grown, gens)
     return seen
 
 
@@ -341,22 +353,13 @@ def _gf2_lex_smallest(rows: list[tuple[int, int]], nvars: int) -> Optional[list[
     assign = []
     for v in range(nvars):
         bit = 1 << v
+        # a consistent system stays consistent under one of the two values
         for val in (0, 1):
-            trial = []
-            ok = True
-            for mask, rhs in rows:
-                if mask & bit:
-                    mask ^= bit
-                    rhs ^= val
-                trial.append((mask, rhs))
+            trial = [(mask & ~bit, rhs ^ (val if mask & bit else 0)) for mask, rhs in rows]
             if _gf2_consistent(trial):
-                assign.append(val)
-                rows = trial
-                ok = True
                 break
-            ok = False
-        if not ok:  # pragma: no cover - consistency rechecked each step
-            return None
+        assign.append(val)
+        rows = trial
     return assign
 
 
@@ -367,82 +370,19 @@ def bipartition(spec: GroupSpec, gens: GeneratorSet) -> Optional[tuple[int, int]
     When several index-2 subgroups qualify, the one given by the
     lexicographically smallest choice of factor images is used.
     """
-    k = len(spec.factors)
     even_idx = [i for i, m in enumerate(spec.factors) if m % 2 == 0]
-    pos = {i: j for j, i in enumerate(even_idx)}
     rows = []
     for x in iter_bits(gens.mask):
         coords = id_to_coords(spec, x)
-        mask = 0
-        for i in even_idx:
-            if coords[i] % 2:
-                mask |= 1 << pos[i]
-        rows.append((mask, 1))
+        rows.append((sum(coords[i] % 2 << j for j, i in enumerate(even_idx)), 1))
     sol = _gf2_lex_smallest(rows, len(even_idx))
     if sol is None:
         return None
-    chi = [0] * k
-    for i, j in zip(even_idx, range(len(even_idx))):
-        chi[i] = sol[j]
     xs = 0
     for eid, coords in enumerate(elements(spec)):
-        if sum(c * w for c, w in zip(coords, chi)) % 2 == 0:
+        if sum(coords[i] * sol[j] for j, i in enumerate(even_idx)) % 2 == 0:
             xs |= 1 << eid
     return xs, ((1 << spec.order) - 1) ^ xs
-
-
-# -- isomorphism to canonical form (used for graph products) ------------------
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    g, m = gcd(m1, m2), m1 * m2
-    assert g == 1
-    # extended euclid for m1 inverse mod m2
-    a, b, u, v = m1 % m2, m2, 1, 0
-    x0, x1 = 0, 1
-    while a:
-        q = b // a
-        b, a = a, b - q * a
-        x0, x1 = x1, x0 - q * x1
-    inv = x0 % m2
-    t = ((r2 - r1) % m2) * inv % m2
-    return (r1 + m1 * t) % m, m
-
-
-def canonical_iso(factors: Sequence[int]):
-    """Canonical spec for an arbitrary factor list plus an explicit
-    isomorphism mapping coordinate tuples into it (via per-prime CRT
-    decomposition and reassembly)."""
-    factors = tuple(factors)
-    target = make_group(factors)
-    # source prime-power slots: (prime, exponent, source index)
-    src_slots: dict[int, list[tuple[int, int]]] = {}
-    for j, m in enumerate(factors):
-        for p, e in _factorize(m).items():
-            src_slots.setdefault(p, []).append((e, j))
-    tgt_slots: dict[int, list[tuple[int, int]]] = {}
-    for i, m in enumerate(target.factors):
-        for p, e in _factorize(m).items():
-            tgt_slots.setdefault(p, []).append((e, i))
-    # match prime powers largest-first; the exponent multisets agree
-    routing: dict[int, list[tuple[int, int, int]]] = {i: [] for i in range(len(target.factors))}
-    for p, src in src_slots.items():
-        src_sorted = sorted(src, reverse=True)
-        tgt_sorted = sorted(tgt_slots[p], reverse=True)
-        for (e_s, j), (e_t, i) in zip(src_sorted, tgt_sorted):
-            assert e_s == e_t
-            routing[i].append((p ** e_s, j, p ** e_s))
-
-    def fn(coords: Sequence[int]) -> tuple[int, ...]:
-        out = []
-        for i in range(len(target.factors)):
-            r, m = 0, 1
-            for pe, j, mod in routing[i]:
-                r, m = _crt_pair(r, m, coords[j] % mod, mod)
-            out.append(r)
-        return tuple(out)
-
-    return target, fn
 
 
 # -- serialization -------------------------------------------------------------

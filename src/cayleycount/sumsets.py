@@ -5,7 +5,9 @@ corollaries used by the container machinery.
 
 Sets of group elements are int bitmasks, bit x for element id x, in the
 arguments and in every result field (`PrpWitness.witness`,
-`ChainWitness.chain`, `SumsetStats.base`); `sumset` is the one kernel.
+`ChainWitness.chain`, `SumsetStats.base`).  `sumset`, the one A + B
+kernel, lives in `groups` next to the rotations it applies, so that
+subgroup closure can use it too; it is imported here by name.
 """
 
 from __future__ import annotations
@@ -19,26 +21,10 @@ from typing import Optional
 
 from . import groups
 from .errors import InvalidInputError, SearchSpaceTooLargeError
-from .groups import GeneratorSet, GroupSpec, bits_list, iter_bits, mask_of
+from .groups import GeneratorSet, GroupSpec, bits_list, iter_bits, mask_of, sumset
 
 DEFAULT_WITNESS_CAP = 20
 DEFAULT_CHAIN_CAP = 16
-
-
-def sumset(spec: GroupSpec, a: int, b: int) -> int:
-    """A + B = {x + y}; empty if either side is empty."""
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    steps = groups.translations(spec)
-    out = 0
-    while a:
-        low = a & -a
-        x = b                   # becomes b + y, y the element of bit `low`
-        for lo, hi, up, down in steps[low.bit_length() - 1]:
-            x = ((x & lo) << up) | ((x & hi) >> down)
-        out |= x
-        a ^= low
-    return out
 
 
 def iterated_sumset(spec: GroupSpec, a: int, d: int, i: int) -> int:

@@ -1,8 +1,9 @@
+import inspect
 import json
 import os
 
 from cayleycount import verify
-from cayleycount.cli import main
+from cayleycount.cli import RENAMES, SUITE_FLAGS, main
 
 
 def run_cli(args, capsys):
@@ -87,16 +88,30 @@ def test_usage_errors(tmp_path, capsys):
         code, _, err = run_cli(argv, capsys)
         assert code == 3, argv
         assert "usage" in err
+    # a verify flag the suite does not take is refused, not dropped
+    for argv in (["verify", "kdd", "--max-order", "3"], ["verify", "thinning", "--n", "8"],
+                 ["verify", "side-sum", "--n", "8"], ["verify", "psi", "--n", "8"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert f"verify {argv[1]}:" in err, argv
     code, out, _ = run_cli(["--help"], capsys)
     assert code == 0
     assert "usage" in out
 
 
 def test_invalid_graph_json(tmp_path, capsys):
-    # out-of-range and negative endpoints, and parts that are not independent
+    # out-of-range and negative endpoints, parts that are not independent, and
+    # ids, counts and coordinates that are not integers
+    z8 = {"factors": [8]}
     for name, data in (("range", {"vcount": 3, "edges": [[0, 5]]}),
                        ("negative", {"vcount": 3, "edges": [[0, -1]]}),
-                       ("parts", {"vcount": 2, "edges": [[0, 1]], "parts": [[0, 1], []]})):
+                       ("parts", {"vcount": 2, "edges": [[0, 1]], "parts": [[0, 1], []]}),
+                       ("float-coords", {"group": z8, "generators": [[1.5], [6.5]]}),
+                       ("float-id", {"vcount": 2, "edges": [[0, 1.0]]}),
+                       ("string-coords", {"group": z8, "generators": [["1"], ["7"]]}),
+                       ("float-count", {"vcount": 2.0, "edges": [[0, 1]]}),
+                       ("bool-part", {"vcount": 2, "edges": [[0, 1]], "parts": [[True], [0]]}),
+                       ("three-ends", {"vcount": 3, "edges": [[0, 1, 2]]})):
         gpath = tmp_path / f"{name}.json"
         gpath.write_text(json.dumps(data))
         code, _, err = run_cli(["count", str(gpath)], capsys)
@@ -137,16 +152,32 @@ def test_verify_trials_reach_a_sweep_only_when_given(monkeypatch, capsys):
         calls.append(kwargs)
         return verify.SweepResult("recorder", checked=1)
 
-    monkeypatch.setitem(verify.ALL_SUITES, "thinning", recorder)
-    monkeypatch.setitem(verify.ALL_SUITES, "growth", recorder)
+    for suite in ("thinning", "growth", "gadget-ring", "odd-circulant", "psi", "kdd"):
+        monkeypatch.setitem(verify.ALL_SUITES, suite, recorder)
     for argv, kwargs in ((["verify", "thinning"], {}),
                          (["verify", "thinning", "--trials", "5"], {"seeds": 5}),
                          (["verify", "growth", "--seed", "3"], {"seed": 3}),
                          (["verify", "growth", "--seed", "3", "--trials", "7"],
-                          {"seed": 3, "trials": 7})):
+                          {"seed": 3, "trials": 7}),
+                         (["verify", "growth", "--seed", "3", "--max-order", "9"],
+                          {"seed": 3, "max_order": 9}),
+                         (["verify", "gadget-ring", "--seed", "5"], {"seed": 5}),
+                         (["verify", "odd-circulant", "--n", "6", "--d", "5"],
+                          {"max_n": 6, "d": 5}),
+                         (["verify", "psi", "--n", "8", "--d", "3"], {"instances": [(8, 3)]}),
+                         (["verify", "kdd", "--seed", "4"], {})):
         code, _, _ = run_cli(argv, capsys)
         assert code == 0
         assert calls.pop() == kwargs, argv
+
+
+def test_suite_flags_name_real_keywords():
+    assert set(SUITE_FLAGS) == set(verify.ALL_SUITES)
+    for suite, takes in SUITE_FLAGS.items():
+        params = inspect.signature(verify.ALL_SUITES[suite]).parameters
+        keywords = {RENAMES.get((suite, f), f) for f in takes}
+        assert keywords <= set(params) or keywords == {"n", "d"} and "instances" in params, suite
+        assert ("seed" in takes) == ("seed" in params), suite
 
 
 def test_containers_dump(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleycount import graphs, groups
+from cayleycount.counting import count_independent_sets, count_independent_sets_bruteforce
 from cayleycount.errors import InvalidInputError
 from cayleycount.graphs import (
     Graph,
@@ -234,6 +235,23 @@ def test_times_k2_single_edge():
     doubled = times_k2(k2)
     assert doubled.vcount == 4
     assert all(doubled.degree(v) == 1 for v in range(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([item for item in CORPUS if item[1].vcount <= 10]))
+def test_times_k2_is_the_networkx_tensor_product(item):
+    label, g = item
+    n = g.vcount
+    doubled = times_k2(g)
+    nxg = nx.Graph(g.edges())
+    nxg.add_nodes_from(range(n))
+    expected = nx.tensor_product(nxg, nx.complete_graph(2))
+    # equal under the isomorphism (v, layer) -> v + layer * n
+    relabelled = nx.relabel_nodes(expected, {(v, k): v + k * n for v, k in expected})
+    assert set(map(frozenset, doubled.edges())) == set(map(frozenset, relabelled.edges())), label
+    low = (1 << n) - 1
+    assert doubled.parts == (low, low << n)
+    assert count_independent_sets(doubled) == count_independent_sets_bruteforce(doubled), label
 
 
 def test_connectivity_examples():

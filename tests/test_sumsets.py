@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayleycount import groups
 from cayleycount.errors import InvalidInputError, SearchSpaceTooLargeError
 from cayleycount.graphs import iter_bits, mask_of
 from cayleycount.groups import GeneratorSet, add_ids, make_group, symmetrize
@@ -23,6 +24,7 @@ from cayleycount.sumsets import (
 
 
 def test_sumset_examples():
+    assert sumset is groups.sumset  # one kernel, defined in groups
     z4 = make_group([4])
     assert sumset(z4, mask_of({0, 1}), mask_of({0, 1})) == mask_of({0, 1, 2})
     z8 = make_group([8])
