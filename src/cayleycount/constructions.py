@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import prod
 from typing import Optional, Sequence
 
 from . import counting, groups
@@ -136,9 +137,7 @@ def build_gadget_ring(cfg: GadgetRingConfig) -> GadgetRing:
     layout = []
     for b in range(blocks):
         base = b * bs
-        for v in range(bs):
-            row = gadget.adj[v]
-            adj[base + v] = row << base
+        adj[base:base + bs] = [row << base for row in gadget.adj]
         layout.append(BlockLayout(
             index=b + 1,
             x_mask=mask_of(range(base, base + 2 * d - 2)),
@@ -152,12 +151,7 @@ def build_gadget_ring(cfg: GadgetRingConfig) -> GadgetRing:
         for zv, yv in zip(zs, ys):
             adj[zv] |= 1 << yv
             adj[yv] |= 1 << zv
-    left = 0
-    right = 0
-    for bl in layout:
-        left |= bl.left
-        right |= bl.right
-    graph = Graph(adj, parts=(left, right))
+    graph = Graph(adj, parts=(sum(bl.left for bl in layout), sum(bl.right for bl in layout)))
     assert all(graph.degree(v) == d for v in range(total)), "ring must be d-regular"
     return GadgetRing(cfg, graph, gadget, layout)
 
@@ -178,13 +172,11 @@ def _validate_intervals(blocks: int, intervals: Sequence[tuple[int, int]]) -> li
     return sorted(out)
 
 
-def _interval_side_map(ring: GadgetRing, intervals: Sequence[tuple[int, int]]) -> list[bool]:
-    """For each block (0-based) whether it is flipped to its L side."""
-    flipped = [False] * ring.cfg.blocks
-    for lo, hi in intervals:
-        for b in range(lo - 1, hi):
-            flipped[b] = True
-    return flipped
+def _chosen_sides(ring: GadgetRing, intervals: Sequence[tuple[int, int]]) -> list[int]:
+    """Per block, its L side if one of the intervals covers it, else its R side."""
+    ivs = _validate_intervals(ring.cfg.blocks, intervals)
+    return [bl.left if any(lo <= bl.index <= hi for lo, hi in ivs) else bl.right
+            for bl in ring.layout]
 
 
 @dataclass
@@ -200,24 +192,14 @@ def maximal_set_from_intervals(ring: GadgetRing,
                                intervals: Sequence[tuple[int, int]]) -> tuple[int, MaximalSetReport]:
     """Build the union of L sides over interval blocks and R sides elsewhere,
     and verify independence, maximality, and the n - 2c size guarantee."""
-    ivs = _validate_intervals(ring.cfg.blocks, intervals)
-    flipped = _interval_side_map(ring, ivs)
-    m = 0
-    for bl, flip in zip(ring.layout, flipped):
-        m |= bl.left if flip else bl.right
+    m = sum(_chosen_sides(ring, intervals))     # the blocks are disjoint
     g = ring.graph
-    independent = all(g.adj[v] & m == 0 for v in iter_bits(m))
-    outside = g.full_mask() & ~m
-    maximal = independent and g.heavy(outside, m, 1) == outside
-    c = len(ivs)
-    report = MaximalSetReport(
-        size=m.bit_count(),
-        c=c,
-        independent=independent,
-        maximal=maximal,
-        size_ok=m.bit_count() >= ring.cfg.n - 2 * c,
-    )
-    return m, report
+    nbhd = g.nbhd(m)
+    independent = nbhd & m == 0
+    maximal = independent and nbhd | m == g.full_mask()
+    c = len(intervals)
+    return m, MaximalSetReport(size=m.bit_count(), c=c, independent=independent,
+                               maximal=maximal, size_ok=m.bit_count() >= ring.cfg.n - 2 * c)
 
 
 def enumerate_interval_families(blocks: int, max_count: Optional[int] = None) -> list[tuple[tuple[int, int], ...]]:
@@ -255,19 +237,11 @@ def interval_family_count(ring: GadgetRing,
     nothing else: the per-block choices are free, so the count is the
     product of (2^side - 1), provided no matching edge joins two chosen
     sides (checked exactly)."""
-    ivs = _validate_intervals(ring.cfg.blocks, intervals)
-    flipped = _interval_side_map(ring, ivs)
-    chosen = [bl.left if flip else bl.right for bl, flip in zip(ring.layout, flipped)]
-    g = ring.graph
-    total_mask = 0
-    for cm in chosen:
-        total_mask |= cm
-    clash = any(g.adj[v] & total_mask for v in iter_bits(total_mask))
+    chosen = _chosen_sides(ring, intervals)
+    total = sum(chosen)     # the blocks are disjoint
     sizes = [cm.bit_count() for cm in chosen]
-    count = 1
-    for s in sizes:
-        count *= (1 << s) - 1
-    return IntervalFamilyReport(sizes, count, not clash)
+    return IntervalFamilyReport(sizes, prod((1 << s) - 1 for s in sizes),
+                                ring.graph.nbhd(total) & total == 0)
 
 
 def interval_family_intersection(ring: GadgetRing,
@@ -276,14 +250,10 @@ def interval_family_intersection(ring: GadgetRing,
     """Exact size of the intersection of two interval families: blocks with
     the same chosen side contribute their nonempty subsets, any block with
     clashing sides kills the product."""
-    f1 = _interval_side_map(ring, _validate_intervals(ring.cfg.blocks, s1))
-    f2 = _interval_side_map(ring, _validate_intervals(ring.cfg.blocks, s2))
-    count = 1
-    for bl, a, b in zip(ring.layout, f1, f2):
-        if a != b:
-            return 0
-        count *= (1 << (bl.left if a else bl.right).bit_count()) - 1
-    return count
+    sides = _chosen_sides(ring, s1)
+    if sides != _chosen_sides(ring, s2):
+        return 0
+    return prod((1 << side.bit_count()) - 1 for side in sides)
 
 
 # -- odd-band circulant -----------------------------------------------------------

@@ -174,21 +174,15 @@ def enumerate_small_2linked_closed(graph: Graph, side: str = "X",
     side_mask = graph.parts[0] if side == "X" else graph.parts[1]
     n = side_mask.bit_count()
     seen: set[int] = set()
-    queue: list[int] = []
-    for u in iter_bits(side_mask):
-        closed = graph.interior(side_mask, graph.nbhd(1 << u))
-        if 2 * closed.bit_count() > n or closed in seen:
-            continue
-        seen.add(closed)
-        queue.append(closed)
-    idx = 0
-    while idx < len(queue):
-        state = queue[idx]
-        idx += 1
+    queue = [0]     # the empty state: its children are the single-vertex closures
+    for state in queue:
         if len(seen) > max_states:
             raise InstanceTooLargeError("closed-set enumeration exceeded state budget")
-        yield closure(graph, state, side_mask)
-        grow = graph.nbhd(graph.nbhd(state)) & side_mask & ~state
+        if state:
+            yield closure(graph, state, side_mask)
+            grow = graph.nbhd(graph.nbhd(state)) & side_mask & ~state
+        else:
+            grow = side_mask
         for v in iter_bits(grow):
             child = graph.interior(side_mask, graph.nbhd(state | (1 << v)))
             if 2 * child.bit_count() > n or child in seen:

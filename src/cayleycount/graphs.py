@@ -100,12 +100,12 @@ class Graph:
         """The vertices of `within` reachable from `seed` in steps of `hops`
         edges that stop only inside `within`: the connected part of the seed
         for hops = 1, its 2-linked part for hops = 2."""
-        comp = seed & within
-        while True:
-            grown = (comp | self.nbhd_iter(comp, hops)) & within
-            if grown == comp:
-                return comp
-            comp = grown
+        # N^hops distributes over unions, so only the newest layer can add
+        comp = frontier = seed & within
+        while frontier:
+            frontier = self.nbhd_iter(frontier, hops) & within & ~comp
+            comp |= frontier
+        return comp
 
     def components(self, within: Optional[int] = None, hops: int = 1) -> list[int]:
         active = self.full_mask() if within is None else within
@@ -130,7 +130,7 @@ class Graph:
         raise InvalidInputError("set straddles both sides of the bipartition")
 
     def is_connected(self) -> bool:
-        return self.vcount > 0 and len(self.components()) == 1
+        return self.vcount > 0 and self.reach(1, self.full_mask()) == self.full_mask()
 
 
 class CayleyGraph(Graph):
@@ -328,14 +328,29 @@ def _ints(values, what: str) -> list[int]:
     return values
 
 
-def graph_from_json(data: dict) -> Graph:
+def _field(data, key: str, kind: type):
+    """`data[key]` if `data` is a JSON object holding a `kind` (exactly, so
+    no boolean for an int) under `key`, else InvalidInputError."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if type(value) is not kind:
+        raise InvalidInputError(f"graph JSON needs a {kind.__name__} {key!r}, got {value!r}")
+    return value
+
+
+def graph_from_json(data) -> Graph:
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"graph JSON must be an object, got {type(data).__name__}")
     if "group" in data:
-        spec = groups.make_group(data["group"]["factors"])
+        spec = groups.make_group(_ints(_field(data["group"], "factors", list), "group factors"))
         ids = {groups.coords_to_id(spec, _ints(c, "generator coordinates"))
-               for c in data["generators"]}
+               for c in _field(data, "generators", list)}
         return CayleyGraph(spec, GeneratorSet(spec, ids))
-    vcount, edges, part_ids = data["vcount"], data["edges"], data.get("parts")
-    _ints([vcount], "vcount")
+    vcount, edges = _field(data, "vcount", int), _field(data, "edges", list)
+    if vcount < 0:
+        raise InvalidInputError(f"vcount must be >= 0, got {vcount}")
+    part_ids = data.get("parts")
+    if part_ids is not None and (type(part_ids) is not list or len(part_ids) != 2):
+        raise InvalidInputError(f"parts must be a list of two id lists, got {part_ids!r}")
     for edge in edges:
         if len(_ints(edge, "an edge")) != 2:
             raise InvalidInputError(f"an edge has two endpoints, got {edge!r}")

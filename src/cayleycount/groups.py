@@ -12,7 +12,9 @@ taken only where sets enter the program (`GeneratorSet`, `symmetrize`).
 
 `sumset` is the one A + B kernel on such masks: it applies the masked
 rotations of `translations`, one per nonzero coordinate of each element of
-the smaller set.  Subgroups are its closure (`subgroup_generated`).
+the smaller set.  Subgroups are its closure (`subgroup_generated`).  The
+bipartition is a mask expression too: the sides of a map to Z2 are XORs of
+the odd-coordinate masks of the even factors, with no element loop.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import prod
+from operator import xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidGeneratorsError, InvalidGroupError, InvalidInputError
@@ -329,60 +332,25 @@ def symmetrize(spec: GroupSpec, elems: Iterable[int]) -> frozenset[int]:
 # -- bipartition --------------------------------------------------------------
 
 
-def _gf2_consistent(rows: list[tuple[int, int]]) -> bool:
-    rows = [r for r in rows if r != (0, 0)]
-    pivots: list[tuple[int, int]] = []
-    for mask, rhs in rows:
-        for pmask, prhs in pivots:
-            low = pmask & -pmask
-            if mask & low:
-                mask ^= pmask
-                rhs ^= prhs
-        if mask == 0:
-            if rhs:
-                return False
-        else:
-            pivots.append((mask, rhs))
-    return True
-
-
-def _gf2_lex_smallest(rows: list[tuple[int, int]], nvars: int) -> Optional[list[int]]:
-    """Lexicographically smallest solution of an affine GF(2) system, or None."""
-    if not _gf2_consistent(rows):
-        return None
-    assign = []
-    for v in range(nvars):
-        bit = 1 << v
-        # a consistent system stays consistent under one of the two values
-        for val in (0, 1):
-            trial = [(mask & ~bit, rhs ^ (val if mask & bit else 0)) for mask, rhs in rows]
-            if _gf2_consistent(trial):
-                break
-        assign.append(val)
-        rows = trial
-    return assign
-
-
 def bipartition(spec: GroupSpec, gens: GeneratorSet) -> Optional[tuple[int, int]]:
     """Kernel/coset split under a homomorphism to Z2 sending every generator
     to 1, if one exists.  Returns the masks (X, Y), or None.
 
-    When several index-2 subgroups qualify, the one given by the
-    lexicographically smallest choice of factor images is used.
+    A homomorphism sends each even factor's generator to 0 or 1 (odd factors
+    to 0), and its coset Y is the XOR of the chosen factors' odd-coordinate
+    masks.  The first choice in lexicographic order (first even factor most
+    significant) whose Y holds every generator is used.
     """
-    even_idx = [i for i, m in enumerate(spec.factors) if m % 2 == 0]
-    rows = []
-    for x in iter_bits(gens.mask):
-        coords = id_to_coords(spec, x)
-        rows.append((sum(coords[i] % 2 << j for j, i in enumerate(even_idx)), 1))
-    sol = _gf2_lex_smallest(rows, len(even_idx))
-    if sol is None:
-        return None
-    xs = 0
-    for eid, coords in enumerate(elements(spec)):
-        if sum(coords[i] * sol[j] for j, i in enumerate(even_idx)) % 2 == 0:
-            xs |= 1 << eid
-    return xs, ((1 << spec.order) - 1) ^ xs
+    full = (1 << spec.order) - 1
+    # an odd coordinate at stride s is bits s..2s-1 of every 2s-bit period;
+    # the period divides the order because the factor is even
+    odds = [full // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s)
+            for m, s in zip(spec.factors, _strides(spec)) if m % 2 == 0]
+    for choice in product(*((0, odd) for odd in odds)):
+        y = reduce(xor, choice, 0)
+        if gens.mask & ~y == 0:
+            return full ^ y, y
+    return None
 
 
 # -- serialization -------------------------------------------------------------

@@ -28,7 +28,7 @@ from .constructions import (
     maximal_set_from_intervals,
     odd_circulant_structure_check,
 )
-from .errors import RetriesExhaustedError
+from .errors import InvalidInputError, RetriesExhaustedError
 from .graphs import (CayleyGraph, bits_list, build_cayley, edge_connectivity, iter_bits,
                      mask_of, times_k2)
 from .groups import GeneratorSet, GroupSpec
@@ -483,6 +483,9 @@ def sweep_odd_circulant(max_n: int = 12, d: int = 3) -> SweepResult:
     """Structure of the odd-band circulant: interval closures, difference-2
     progression neighborhoods with g = a + d, and a table supported on
     t = d only."""
+    # n = d + 1 has no small 2-linked closed sets, so a shorter range checks nothing
+    if max_n < d + 2:
+        raise InvalidInputError(f"odd-circulant needs max_n >= d + 2 = {d + 2}, got {max_n}")
     res = SweepResult("odd-circulant")
     for n in range(d + 1, max_n + 1):
         rep = odd_circulant_structure_check(OddCirculantConfig(n, d))

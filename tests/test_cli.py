@@ -94,14 +94,19 @@ def test_usage_errors(tmp_path, capsys):
         code, _, err = run_cli(argv, capsys)
         assert code == 3, argv
         assert f"verify {argv[1]}:" in err, argv
+    # n = d + 1 has no records, so this range would check nothing
+    code, _, err = run_cli(["verify", "odd-circulant", "--n", "6", "--d", "5"], capsys)
+    assert code == 3
+    assert err.startswith("error:")
     code, out, _ = run_cli(["--help"], capsys)
     assert code == 0
     assert "usage" in out
 
 
 def test_invalid_graph_json(tmp_path, capsys):
-    # out-of-range and negative endpoints, parts that are not independent, and
-    # ids, counts and coordinates that are not integers
+    # out-of-range and negative endpoints, parts that are not independent,
+    # ids, counts and coordinates that are not integers, and JSON of the wrong
+    # shape (a missing key, an array at the top level)
     z8 = {"factors": [8]}
     for name, data in (("range", {"vcount": 3, "edges": [[0, 5]]}),
                        ("negative", {"vcount": 3, "edges": [[0, -1]]}),
@@ -110,8 +115,13 @@ def test_invalid_graph_json(tmp_path, capsys):
                        ("float-id", {"vcount": 2, "edges": [[0, 1.0]]}),
                        ("string-coords", {"group": z8, "generators": [["1"], ["7"]]}),
                        ("float-count", {"vcount": 2.0, "edges": [[0, 1]]}),
+                       ("negative-count", {"vcount": -2, "edges": []}),
                        ("bool-part", {"vcount": 2, "edges": [[0, 1]], "parts": [[True], [0]]}),
-                       ("three-ends", {"vcount": 3, "edges": [[0, 1, 2]]})):
+                       ("three-ends", {"vcount": 3, "edges": [[0, 1, 2]]}),
+                       ("no-edges", {"vcount": 2}),
+                       ("array", [1, 2]),
+                       ("one-part", {"vcount": 2, "edges": [], "parts": [[0, 1]]}),
+                       ("no-generators", {"group": z8})):
         gpath = tmp_path / f"{name}.json"
         gpath.write_text(json.dumps(data))
         code, _, err = run_cli(["count", str(gpath)], capsys)

@@ -291,6 +291,11 @@ def test_connectivity_matches_networkx_on_random_graphs(n, density, seed):
         assert edge_connectivity(g) == vertex_connectivity(g) == 0
     if density == 1.0 and n >= 2:
         assert edge_connectivity(g) == vertex_connectivity(g) == n - 1
+    # networkx calls the null graph neither connected nor disconnected
+    if n >= 1:
+        assert g.is_connected() == nx.is_connected(nxg)
+        assert sorted(bits_list(c) for c in g.components()) == sorted(
+            sorted(c) for c in nx.connected_components(nxg))
 
 
 def test_graph_rejects_asymmetric_adjacency():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -205,6 +207,42 @@ def test_mask_valued_group_functions_match_oracles(spec, data):
         assert x & 1
         assert sumset(spec, x, d.mask) & x == 0
         assert sumset(spec, y, d.mask) & y == 0
+
+
+def _first_homomorphism(spec, d_ids):
+    """(kernel, coset) masks of the first chi: G -> Z2 with chi(D) = 1, one
+    image per even factor, in lexicographic order of the images; or None."""
+    even = [i for i, m in enumerate(spec.factors) if m % 2 == 0]
+    for images in product((0, 1), repeat=len(even)):
+        def chi(x):
+            coords = id_to_coords(spec, x)
+            return sum(coords[i] * b for i, b in zip(even, images)) % 2
+        if all(chi(x) for x in d_ids):
+            y = mask_of(x for x in range(spec.order) if chi(x))
+            return ((1 << spec.order) - 1) ^ y, y
+    return None
+
+
+groups_to_128 = st.one_of(
+    st.sampled_from([spec for n in range(2, 129) for spec in enumerate_abelian_groups(n)]),
+    st.integers(1, 6).map(lambda k: make_group([2] * k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups_to_128, st.data())
+def test_bipartition_is_the_first_homomorphism_in_lexicographic_order(spec, data):
+    order = spec.order
+    even = [i for i, m in enumerate(spec.factors) if m % 2 == 0]
+    images = data.draw(st.tuples(*[st.integers(0, 1)] * len(even)))
+    if any(images) and data.draw(st.booleans()):
+        # from the odd coset of a nonzero choice of images: bipartite
+        coset = [x for x in range(order)
+                 if sum(id_to_coords(spec, x)[i] * b for i, b in zip(even, images)) % 2]
+        drawn = data.draw(st.sets(st.sampled_from(coset), min_size=1, max_size=5))
+    else:
+        drawn = data.draw(st.sets(st.integers(1, order - 1), min_size=1, max_size=5))
+    d_ids = symmetrize(spec, drawn)
+    assert bipartition(spec, GeneratorSet(spec, d_ids)) == _first_homomorphism(spec, d_ids)
 
 
 def test_coords_id_roundtrip():
