@@ -16,9 +16,7 @@ from .graphs import (  # noqa: F401
     Graph,
     build_cayley,
     closure,
-    neighborhood,
     times_k2,
-    two_linked_components,
 )
 from .counting import (  # noqa: F401
     bipartite_bound_sum,

@@ -2,7 +2,8 @@
 verification suites, and emit per-record container certificates.
 
 Exit codes: 0 = all checks pass, 1 = a checked fact was violated,
-2 = instance exceeded a size budget, 3 = usage error.
+2 = instance exceeded a size budget (including a group or graph above
+`groups.MAX_ORDER`), 3 = usage error (including a bad CAYLEYCOUNT_SEED).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .constructions import (
 from .errors import (
     CayleyCountError,
     InstanceTooLargeError,
+    InvariantViolation,
     SearchSpaceTooLargeError,
 )
 from .graphs import (
@@ -41,10 +43,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("CAYLEYCOUNT_SEED", "0"))
 
 
 def _report_header(args: argparse.Namespace) -> dict:
@@ -256,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact independent-set counting and container machinery "
                     "for Abelian Cayley graphs.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_default_seed(),
+    # argparse converts a string default with `type`, so a bad value in the
+    # environment is a usage error like a bad --seed
+    common.add_argument("--seed", type=int, default=os.environ.get("CAYLEYCOUNT_SEED", "0"),
                         help="master seed (env CAYLEYCOUNT_SEED)")
     common.add_argument("--output", "-o", help="write the report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -320,6 +320,9 @@ def main(argv=None) -> int:
     except (InstanceTooLargeError, SearchSpaceTooLargeError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except CayleyCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

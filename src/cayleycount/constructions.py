@@ -15,6 +15,7 @@ from . import counting, groups
 from .errors import (
     GadgetSearchError,
     InvalidInputError,
+    InvariantViolation,
     MalformedIntervalsError,
 )
 from .graphs import (
@@ -152,7 +153,8 @@ def build_gadget_ring(cfg: GadgetRingConfig) -> GadgetRing:
             adj[zv] |= 1 << yv
             adj[yv] |= 1 << zv
     graph = Graph(adj, parts=(sum(bl.left for bl in layout), sum(bl.right for bl in layout)))
-    assert all(graph.degree(v) == d for v in range(total)), "ring must be d-regular"
+    if not all(graph.degree(v) == d for v in range(total)):
+        raise InvariantViolation("ring must be d-regular")
     return GadgetRing(cfg, graph, gadget, layout)
 
 
@@ -202,7 +204,7 @@ def maximal_set_from_intervals(ring: GadgetRing,
                                maximal=maximal, size_ok=m.bit_count() >= ring.cfg.n - 2 * c)
 
 
-def enumerate_interval_families(blocks: int, max_count: Optional[int] = None) -> list[tuple[tuple[int, int], ...]]:
+def enumerate_interval_families(blocks: int) -> list[tuple[tuple[int, int], ...]]:
     """All collections of pairwise disjoint odd-endpoint intervals
     (including the empty collection), in a deterministic order."""
     odd = [b for b in range(1, blocks + 1) if b % 2 == 1]
@@ -211,8 +213,6 @@ def enumerate_interval_families(blocks: int, max_count: Optional[int] = None) ->
 
     def rec(start: int, acc: list[tuple[int, int]]) -> None:
         out.append(tuple(acc))
-        if max_count is not None and len(acc) >= max_count:
-            return
         for i in range(start, len(intervals)):
             lo, hi = intervals[i]
             if all(hi2 < lo or lo2 > hi for lo2, hi2 in acc):
@@ -278,7 +278,8 @@ def build_odd_circulant(cfg: OddCirculantConfig) -> CayleyGraph:
     spec = groups.make_group([2 * cfg.n])
     gens = GeneratorSet(spec, {(2 * i - cfg.d) % (2 * cfg.n) for i in range(cfg.d + 1)})
     graph = build_cayley(spec, gens)
-    assert graph.parts is not None
+    if graph.parts is None:
+        raise InvariantViolation("odd circulant must be bipartite")
     return graph
 
 

@@ -16,17 +16,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidInputError, RetriesExhaustedError, UncoverableError
-from .graphs import (
-    CayleyGraph,
-    ClosedSetRecord,
-    Graph,
-    bits_list,
-    closure,
-    heavy_neighborhood,
-    iter_bits,
-    mask_of,
+from .errors import (
+    InvalidInputError,
+    InvariantViolation,
+    RetriesExhaustedError,
+    UncoverableError,
 )
+from .graphs import CayleyGraph, ClosedSetRecord, Graph, bits_list, closure, iter_bits, mask_of
 from .sumsets import chain_witness_search
 
 
@@ -79,7 +75,7 @@ class CoverResult:
 def greedy_cover(universe: int, candidates: Sequence[int]) -> CoverResult:
     """Greedy max-coverage selection of candidate sets until the universe is
     covered.  The selection provably stays within (|B|/a)(1 + ln b), which is
-    asserted on every call."""
+    checked on every call."""
     if universe == 0:
         return CoverResult([], 0, 0, 0, 0.0)
     restricted = [c & universe for c in candidates]
@@ -103,7 +99,8 @@ def greedy_cover(universe: int, candidates: Sequence[int]) -> CoverResult:
         chosen.append(best_i)
         covered |= restricted[best_i]
     bound = (len(candidates) / a_min) * (1 + math.log(b_max))
-    assert len(chosen) <= bound, "greedy exceeded the Lovász-Stein guarantee"
+    if len(chosen) > bound:
+        raise InvariantViolation("greedy exceeded the Lovász-Stein guarantee")
     return CoverResult(chosen, covered, a_min, b_max, bound)
 
 
@@ -185,8 +182,10 @@ def contract(graph: Graph, c_mask: int, side: Optional[int] = None) -> Contracti
         x_rem &= ~orig
     state = ContractionState(c_mask, x_rem, supers)
     # the never-absorbed vertices are exactly those with N(v) inside C
-    assert state.r_mask == graph.interior(x_mask, c_mask)
-    assert state.x_partition_ok(x_mask)
+    if state.r_mask != graph.interior(x_mask, c_mask):
+        raise InvariantViolation("contraction kept a vertex with a neighbor outside C")
+    if not state.x_partition_ok(x_mask):
+        raise InvariantViolation("contraction does not partition the X side")
     return state
 
 
@@ -239,7 +238,7 @@ def check_phi(graph: Graph, rec: ClosedSetRecord, f_mask: int,
         params = ApproxParams.for_degree(regular_degree(graph))
     if f_mask & ~rec.nbhd:
         return False
-    g_phi = heavy_neighborhood(graph, rec, params.phi)
+    g_phi = graph.heavy(rec.nbhd, rec.closure, params.phi)
     if g_phi & ~f_mask:
         return False
     return rec.closure & ~graph.nbhd(f_mask) == 0
@@ -275,7 +274,8 @@ def phi_approx_sample(graph: CayleyGraph, rec: ClosedSetRecord, c_mask: int,
 
     if p >= 1.0 or params.phi_degenerate:
         approx = PhiApprox(f_mask=rec.nbhd, degenerate=True)
-        assert check_phi(graph, rec, approx.f_mask, params)
+        if not check_phi(graph, rec, approx.f_mask, params):
+            raise InvariantViolation("F = G is not a phi-approximation")
         report = PhiSampleReport(True, 0, None, None, None,
                                  f_size=rec.g, z1_size=rec.g, z2_size=0)
         return approx, report
@@ -287,13 +287,14 @@ def phi_approx_sample(graph: CayleyGraph, rec: ClosedSetRecord, c_mask: int,
     r_a, r_ac, sup_a, sup_ac = split_relative(state, rec)
 
     # interior Y-vertices outside C, reconstructed from the pure-A supers
-    g_d = heavy_neighborhood(graph, rec, d)
+    g_d = graph.heavy(rec.nbhd, rec.closure, d)
     interior_outside = 0
     for sv in sup_a:
         interior_outside |= sv.members & ~rec.side & ~c_mask
-    assert interior_outside == g_d & ~c_mask, "interior reconstruction mismatch"
+    if interior_outside != g_d & ~c_mask:
+        raise InvariantViolation("interior reconstruction mismatch")
 
-    g_phi = heavy_neighborhood(graph, rec, params.phi)
+    g_phi = graph.heavy(rec.nbhd, rec.closure, params.phi)
     pool = bits_list(c_mask & rec.nbhd)
     thresholds = (
         cfg.size_coeff * t / log2_d**2,
@@ -330,10 +331,12 @@ def phi_approx_sample(graph: CayleyGraph, rec: ClosedSetRecord, c_mask: int,
         z1 = (cover_y & rec.nbhd) | q3 | interior_outside
         uncovered = rec.closure & ~graph.nbhd(z1)
         # absorbed closure vertices always have an interior neighbor in Z1
-        assert uncovered & ~r_a == 0, "non-R closure vertex escaped Z1"
+        if uncovered & ~r_a:
+            raise InvariantViolation("non-R closure vertex escaped Z1")
         z2 = neighborhood_cover(graph, uncovered, rec.nbhd & ~z1)
         f_mask = z1 | z2
-        assert check_phi(graph, rec, f_mask, params)
+        if not check_phi(graph, rec, f_mask, params):
+            raise InvariantViolation("sampled F is not a phi-approximation")
         approx = PhiApprox(f_mask, z1, z2, False)
         report = PhiSampleReport(False, attempt + 1, props, vals, thresholds,
                                  f_size=f_mask.bit_count(),
@@ -459,7 +462,7 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
     iterated growth, covers the boundary vertices that are heavy into the
     first ring around the core, covers the part reachable twice from a
     trimmed outside set, and includes the leftovers directly.  Containment
-    of G' is deterministic and asserted.  When the parameters degenerate
+    of G' is deterministic and checked.  When the parameters degenerate
     (small degree), the trivially valid C = G' is returned instead.
     """
     if graph.parts is None or not graph.is_connected():
@@ -507,6 +510,7 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
     residual = graph.nbhd_iter((outside & ~m_prime) & g0, 2)
     tail = graph.nbhd(rec.closure & ~core)
     c_mask = graph.nbhd(z2) | graph.nbhd(z3) | residual | tail
-    assert rec.boundary & ~c_mask == 0, "container must cover the boundary"
+    if rec.boundary & ~c_mask:
+        raise InvariantViolation("container must cover the boundary")
     ratio = c_mask.bit_count() / denom if denom else None
     return BoundaryContainer(c_mask, False, ratio, z2, z3, residual, tail, core)

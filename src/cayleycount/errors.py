@@ -5,6 +5,10 @@ class CayleyCountError(Exception):
     """Base class for all package errors."""
 
 
+class InvariantViolation(CayleyCountError):
+    """A guaranteed fact failed at run time: a bug, not a bad input."""
+
+
 class InvalidGroupError(CayleyCountError):
     """Malformed group description (e.g. a cyclic factor below 2)."""
 

@@ -1,6 +1,7 @@
 """Cayley graphs over finite Abelian groups and the structural vocabulary
-built on them: neighborhoods, closures, 2-linkage, boundaries, doubling
-covers and exact connectivity.
+built on them: closures, 2-linkage, boundaries, doubling covers and exact
+connectivity.  Neighborhoods N^i(A), heavy sets and 2-linked components are
+`Graph` methods (`nbhd_iter`, `heavy`, `components(mask, hops=2)`).
 
 Vertex sets are plain Python ints used as bitmasks (bit i = vertex id i),
 so unions, intersections and popcounts are single word-parallel operations.
@@ -13,7 +14,12 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from . import groups
-from .errors import InvalidGeneratorsError, InvalidInputError
+from .errors import (
+    InstanceTooLargeError,
+    InvalidGeneratorsError,
+    InvalidInputError,
+    InvariantViolation,
+)
 from .groups import GeneratorSet, GroupSpec, bits_list, iter_bits, mask_of
 
 
@@ -155,16 +161,12 @@ class CayleyGraph(Graph):
         self.group = group
         self.gens = gens
         d = gens.d
-        assert all(r.bit_count() == d for r in adj), "Cayley graph must be regular"
+        if not all(r.bit_count() == d for r in adj):
+            raise InvariantViolation("Cayley graph must be regular")
 
 
 def build_cayley(group: GroupSpec, gens: GeneratorSet) -> CayleyGraph:
     return CayleyGraph(group, gens)
-
-
-def neighborhood(graph: Graph, mask: int, i: int = 1) -> int:
-    """N^i(A); for Cayley graphs this equals the iterated sumset A + iD."""
-    return graph.nbhd_iter(mask, i)
 
 
 # -- closures -----------------------------------------------------------------
@@ -216,19 +218,8 @@ def closure(graph: Graph, a_mask: int, side: Optional[int] = None) -> ClosedSetR
     return ClosedSetRecord(a_mask, closed, g, boundary, side, side.bit_count())
 
 
-def two_linked_components(graph: Graph, a_mask: int) -> list[int]:
-    """Connected components of A in the square graph (shared-neighbor
-    adjacency), without materializing the square graph."""
-    return graph.components(a_mask, hops=2)
-
-
 def is_two_linked(graph: Graph, a_mask: int) -> bool:
     return a_mask != 0 and graph.reach(a_mask & -a_mask, a_mask, 2) == a_mask
-
-
-def heavy_neighborhood(graph: Graph, rec: ClosedSetRecord, alpha: float) -> int:
-    """Vertices of G with at least `alpha` neighbors inside the closure."""
-    return graph.heavy(rec.nbhd, rec.closure, alpha)
 
 
 # -- tensor double cover -------------------------------------------------------
@@ -348,6 +339,9 @@ def graph_from_json(data) -> Graph:
     vcount, edges = _field(data, "vcount", int), _field(data, "edges", list)
     if vcount < 0:
         raise InvalidInputError(f"vcount must be >= 0, got {vcount}")
+    if vcount > groups.MAX_ORDER:
+        raise InstanceTooLargeError(
+            f"vcount {vcount} exceeds the size budget {groups.MAX_ORDER}")
     part_ids = data.get("parts")
     if part_ids is not None and (type(part_ids) is not list or len(part_ids) != 2):
         raise InvalidInputError(f"parts must be a list of two id lists, got {part_ids!r}")

@@ -28,11 +28,20 @@ from math import prod
 from operator import xor
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InvalidGeneratorsError, InvalidGroupError, InvalidInputError
+from .errors import (
+    InstanceTooLargeError,
+    InvalidGeneratorsError,
+    InvalidGroupError,
+    InvalidInputError,
+)
 
 # Addition tables are only materialized for groups up to this order;
 # larger groups fall back to per-call coordinate arithmetic.
 _TABLE_ORDER_LIMIT = 64
+
+# The largest group order, and graph vertex count, taken as input: checked
+# before a generator mask or an adjacency list is allocated.
+MAX_ORDER = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -286,6 +295,9 @@ class GeneratorSet:
     """
 
     def __init__(self, spec: GroupSpec, elems: Iterable[int]):
+        if spec.order > MAX_ORDER:
+            raise InstanceTooLargeError(
+                f"group order {spec.order} exceeds the size budget {MAX_ORDER}")
         mask = 0
         for x in elems:
             if not (0 <= x < spec.order):

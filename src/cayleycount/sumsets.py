@@ -1,13 +1,12 @@
-"""Additive-combinatorics engine: sumsets, doubling statistics, witness
-searches for the classical sumset inequalities (Plünnecke-Ruzsa-Petridis,
-Olson), iterated-growth checks, generator thinning, and the expansion
-corollaries used by the container machinery.
+"""Additive-combinatorics engine: iterated sumsets, witness searches for the
+classical sumset inequalities (Plünnecke-Ruzsa-Petridis, Olson),
+iterated-growth checks and generator thinning.
 
 Sets of group elements are int bitmasks, bit x for element id x, in the
 arguments and in every result field (`PrpWitness.witness`,
-`ChainWitness.chain`, `SumsetStats.base`).  `sumset`, the one A + B
-kernel, lives in `groups` next to the rotations it applies, so that
-subgroup closure can use it too; it is imported here by name.
+`ChainWitness.chain`).  `sumset`, the one A + B kernel, lives in `groups`
+next to the rotations it applies, so that subgroup closure can use it too;
+it is imported here by name.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from itertools import combinations
 from typing import Optional
 
 from . import groups
-from .errors import InvalidInputError, SearchSpaceTooLargeError
-from .groups import GeneratorSet, GroupSpec, bits_list, iter_bits, mask_of, sumset
+from .errors import InvalidInputError, InvariantViolation, SearchSpaceTooLargeError
+from .groups import GeneratorSet, GroupSpec, bits_list, iter_bits, sumset
 
 DEFAULT_WITNESS_CAP = 20
 DEFAULT_CHAIN_CAP = 16
@@ -34,42 +33,6 @@ def iterated_sumset(spec: GroupSpec, a: int, d: int, i: int) -> int:
     for _ in range(i):
         a = sumset(spec, a, d)
     return a
-
-
-# -- doubling statistics --------------------------------------------------------
-
-
-@dataclass
-class SumsetStats:
-    """Doubling data for a base set D: |2D| and the representation counts
-    r_u = #{ {x, y} in D, x != y : x + y = u }."""
-
-    spec: GroupSpec
-    base: int
-    double: int
-    reps: dict[int, int]
-
-    @property
-    def doubling(self) -> int:
-        return self.double.bit_count()
-
-    def heavy(self, alpha: float) -> int:
-        """Elements of 2D with at least |D| / (2 alpha) representations."""
-        threshold = self.base.bit_count() / (2 * alpha)
-        return mask_of(u for u in iter_bits(self.double) if self.reps.get(u, 0) >= threshold)
-
-
-def sumset_stats(spec: GroupSpec, base: int) -> SumsetStats:
-    reps: dict[int, int] = {}
-    rest = base
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        # x + y for the y > x in D: translation is a bijection, so each bit
-        # is one pair
-        for u in iter_bits(sumset(spec, rest, low)):
-            reps[u] = reps.get(u, 0) + 1
-    return SumsetStats(spec, base, sumset(spec, base, base), reps)
 
 
 # -- iterated growth (the m + d^i t bound) ---------------------------------------
@@ -141,7 +104,7 @@ def prp_witness_search(spec: GroupSpec, m_set: int, d_set: int,
             if lhs <= floor_rhs:
                 alpha = Fraction(md, m)
                 return PrpWitness(alpha, j, sub, lhs, alpha ** j * size)
-    raise AssertionError(
+    raise InvariantViolation(
         "no witness found: the inequality is a theorem, this is a bug")
 
 
@@ -373,82 +336,3 @@ def thin_generators(spec: GroupSpec, gens: GeneratorSet,
         precondition_doubling_ok=precondition_ok,
     )
     return thin, report
-
-
-# -- expansion corollaries ------------------------------------------------------------
-
-
-@dataclass
-class SubCheck:
-    applicable: bool
-    holds: Optional[bool]
-    lhs: Optional[float] = None
-    rhs: Optional[float] = None
-    note: str = ""
-
-
-@dataclass
-class ExpansionReport:
-    doubling_from_expansion: SubCheck   # |2D| <= 2 (alpha^2 - 1) |M|
-    partial_doubling: SubCheck          # |D + D'| >= |2D| (1 - 1/log^2 d)
-    sixth_expansion: SubCheck           # |M + D| >= |M| + |2D| / 6
-
-
-def basic_expansion_check(spec: GroupSpec, m_set: int, gens: GeneratorSet,
-                          d_sub: Optional[int] = None) -> ExpansionReport:
-    """Verify the three expansion facts linking small neighborhoods to
-    doubling, on one instance.  Each sub-check reports whether its
-    hypotheses held; conclusions are only asserted when they did."""
-    d_set = gens.mask
-    d = d_set.bit_count()
-    d2 = sumset(spec, d_set, d_set).bit_count()
-    log_d = math.log2(d) if d >= 2 else 0.0
-
-    # partial doubling: removing few generators keeps most of the doubling
-    if d_sub is None:
-        d_sub = d_set
-    if d_sub & ~d_set:
-        raise InvalidInputError("D' must be a subset of D")
-    if d < 2:
-        partial = SubCheck(False, None, note="needs d >= 2")
-    else:
-        removal_ok = (d_set & ~d_sub).bit_count() <= math.sqrt(d) / log_d
-        if not removal_ok:
-            partial = SubCheck(False, None, note="|D \\ D'| too large")
-        else:
-            lhs = sumset(spec, d_set, d_sub).bit_count()
-            rhs = d2 * (1 - 1 / log_d**2)
-            partial = SubCheck(True, lhs >= rhs, lhs, rhs)
-
-    sides = groups.bipartition(spec, gens) or ()
-    generating = groups.is_generating(spec, d_set)
-
-    side = next((part for part in sides if not m_set & ~part), None)
-    m = m_set.bit_count()
-
-    if side is None or not generating or not m_set:
-        doubling = SubCheck(False, None, note="needs connected bipartite context and M on one side")
-        sixth = SubCheck(False, None, note="needs connected bipartite context and M on one side")
-    else:
-        n_side = side.bit_count()
-        m2d = iterated_sumset(spec, m_set, d_set, 2)
-        if 2 * m > n_side or m2d == side:
-            doubling = SubCheck(False, None, note="hypothesis failed (M too large or M+2D = X)")
-        else:
-            alpha = Fraction(sumset(spec, m_set, d_set).bit_count(), m)
-            lhs = Fraction(d2)
-            rhs = 2 * (alpha**2 - 1) * m
-            doubling = SubCheck(True, lhs <= rhs, float(lhs), float(rhs))
-
-        # does M contain most of a translate of D?
-        translate_ok = d >= 2 and any(
-            (sumset(spec, d_set, 1 << u) & m_set).bit_count() >= d - math.sqrt(d) / log_d
-            for u in range(spec.order))
-        if not translate_ok or 2 * m > n_side:
-            sixth = SubCheck(False, None, note="hypothesis failed (no dense translate or M too large)")
-        else:
-            lhs_i = 6 * sumset(spec, m_set, d_set).bit_count()
-            rhs_i = 6 * m + d2
-            sixth = SubCheck(True, lhs_i >= rhs_i, lhs_i / 6, rhs_i / 6)
-
-    return ExpansionReport(doubling, partial, sixth)

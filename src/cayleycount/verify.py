@@ -28,7 +28,7 @@ from .constructions import (
     maximal_set_from_intervals,
     odd_circulant_structure_check,
 )
-from .errors import InvalidInputError, RetriesExhaustedError
+from .errors import InvalidInputError, InvariantViolation, RetriesExhaustedError
 from .graphs import (CayleyGraph, bits_list, build_cayley, edge_connectivity, iter_bits,
                      mask_of, times_k2)
 from .groups import GeneratorSet, GroupSpec
@@ -275,7 +275,7 @@ def sweep_prp(max_order: int = 12, max_m: int = 4, max_d: int = 4, j: int = 2) -
                     res.checked += 1
                     try:
                         sumsets.prp_witness_search(spec, m_set, d_set, j)
-                    except AssertionError:
+                    except InvariantViolation:
                         res.violations += 1
     return res
 
@@ -406,7 +406,7 @@ def sweep_phi(instances: Iterable[tuple[int, int]] = PSI_CORPUS,
 
 def sweep_lovasz_stein(trials: int = 1000, seed: int = 0,
                        max_a: int = 200, max_b: int = 40) -> SweepResult:
-    """Random bipartite cover instances; the greedy cover asserts its
+    """Random bipartite cover instances; the greedy cover checks its
     guarantee internally, so any violation raises."""
     res = SweepResult("lovasz-stein")
     rng = random.Random(f"cover:{seed}")
@@ -422,7 +422,7 @@ def sweep_lovasz_stein(trials: int = 1000, seed: int = 0,
         res.checked += 1
         try:
             result = containers.greedy_cover(universe, sets)
-        except AssertionError:
+        except InvariantViolation:
             res.violations += 1
             continue
         if result.chosen_mask != universe:

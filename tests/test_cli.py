@@ -215,3 +215,23 @@ def test_env_seed(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(["build", "gadget-ring", "--d", "3", "--t", "2", "-o", gpath], capsys)
     assert code == 0
     assert json.load(open(gpath))["provenance"]["seed"] == 123
+    # a seed that is not an integer is a usage error, as on the command line
+    monkeypatch.setenv("CAYLEYCOUNT_SEED", "abc")
+    code, _, err = run_cli(["build", "gadget-ring", "-o", gpath], capsys)
+    assert code == 3
+    assert "usage" in err and "Traceback" not in err
+
+
+def test_oversized_inputs_hit_the_size_budget(tmp_path, capsys):
+    # refused before the generator mask or the adjacency is allocated
+    for name, data in (("vcount", {"vcount": 10**15, "edges": []}),
+                       ("group", {"group": {"factors": [10**8]},
+                                  "generators": [[1], [10**8 - 1]]})):
+        gpath = tmp_path / f"{name}.json"
+        gpath.write_text(json.dumps(data))
+        code, _, err = run_cli(["count", str(gpath)], capsys)
+        assert code == 2, name
+        assert "budget" in err, name
+    code, _, err = run_cli(["build", "--group", "Z100000000", "--gens", "1,99999999"], capsys)
+    assert code == 2
+    assert "budget" in err

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from cayleycount import containers
 from cayleycount.containers import (
     ApproxParams,
     PhiSampleConfig,
@@ -77,8 +82,32 @@ def test_greedy_cover_bound_random():
         for v in range(na):
             for i in rng.sample(range(nb), rng.randint(1, nb)):
                 sets[i] |= 1 << v
-        res = greedy_cover((1 << na) - 1, sets)  # bound asserted internally
+        res = greedy_cover((1 << na) - 1, sets)  # bound checked internally
         assert res.chosen_mask == (1 << na) - 1
+
+
+# With ln patched to -1 the Lovász-Stein bound (|B|/a)(1 + ln b) is 0, so
+# every nonempty cover exceeds it.
+_BROKEN_BOUND = """
+import sys
+from cayleycount import containers, verify
+from cayleycount.errors import InvariantViolation
+containers.math.log = lambda x: -1.0
+try:
+    containers.greedy_cover(1, [1])
+    raised = False
+except InvariantViolation:
+    raised = True
+res = verify.sweep_lovasz_stein(trials=3)
+print(sys.flags.optimize, raised, res.checked, res.violations)
+"""
+
+
+def test_invariants_survive_python_O():
+    src = str(Path(containers.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_BOUND], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["1", "True", "3", "3"]
 
 
 def test_contract_trivial():

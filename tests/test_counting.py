@@ -16,7 +16,7 @@ from cayleycount.counting import (
     lucas_number,
 )
 from cayleycount.errors import InstanceTooLargeError
-from cayleycount.graphs import Graph, bits_list, closure, mask_of, two_linked_components
+from cayleycount.graphs import Graph, bits_list, closure, mask_of
 from cayleycount.groups import GeneratorSet, make_group
 from cayleycount.graphs import build_cayley
 from cayleycount.verify import complete_bipartite_graph, cycle_graph
@@ -135,7 +135,7 @@ def _brute_small_2linked_closed(graph):
             continue
         if 2 * rec.a > n:
             continue
-        if len(two_linked_components(graph, mask)) != 1:
+        if len(graph.components(mask, hops=2)) != 1:
             continue
         out.add(mask)
     return out

@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleycount import graphs, groups
+from cayleycount import groups
 from cayleycount.counting import count_independent_sets, count_independent_sets_bruteforce
 from cayleycount.errors import InvalidInputError
 from cayleycount.graphs import (
@@ -16,12 +16,9 @@ from cayleycount.graphs import (
     edge_connectivity,
     graph_from_json,
     graph_to_json,
-    heavy_neighborhood,
     is_two_linked,
     mask_of,
-    neighborhood,
     times_k2,
-    two_linked_components,
     vertex_connectivity,
 )
 from cayleycount.groups import GeneratorSet, make_group
@@ -54,10 +51,10 @@ def test_build_odd_band_example():
 
 def test_neighborhood_examples():
     g = c8()
-    assert neighborhood(g, 1 << 0, 1) == mask_of([1, 7])
-    assert neighborhood(g, 1 << 0, 2) == mask_of([0, 2, 6])
-    assert neighborhood(g, 1 << 0, 0) == 1 << 0
-    assert neighborhood(g, 0, 1) == 0
+    assert g.nbhd_iter(1 << 0, 1) == mask_of([1, 7])
+    assert g.nbhd_iter(1 << 0, 2) == mask_of([0, 2, 6])
+    assert g.nbhd_iter(1 << 0, 0) == 1 << 0
+    assert g.nbhd_iter(0, 1) == 0
 
 
 def test_neighborhood_matches_sumset_oracle():
@@ -68,7 +65,7 @@ def test_neighborhood_matches_sumset_oracle():
         sample = rng.sample(range(spec.order), rng.randint(1, spec.order))
         mask = mask_of(sample)
         for i in range(3):
-            from_graph = set(bits_list(neighborhood(g, mask, i)))
+            from_graph = set(bits_list(g.nbhd_iter(mask, i)))
             from_sums = set(bits_list(iterated_sumset(spec, mask, g.gens.mask, i)))
             assert from_graph == from_sums, label
 
@@ -131,10 +128,10 @@ def test_expansion_on_connected_bipartite():
 
 def test_two_linked_components():
     g = c8()
-    assert len(two_linked_components(g, mask_of([0, 2]))) == 1
-    assert len(two_linked_components(g, mask_of([0, 4]))) == 2
-    assert len(two_linked_components(g, mask_of([0, 2, 4]))) == 1
-    assert two_linked_components(g, 0) == []
+    assert len(g.components(mask_of([0, 2]), hops=2)) == 1
+    assert len(g.components(mask_of([0, 4]), hops=2)) == 2
+    assert len(g.components(mask_of([0, 2, 4]), hops=2)) == 1
+    assert g.components(0, hops=2) == []
 
 
 CORPUS = list(corpus_graphs(12))
@@ -176,7 +173,7 @@ def test_two_linkage_matches_networkx_square_graph(item, data):
     for v in nxg:
         square.add_edges_from(combinations(sorted(set(nxg[v]) & a), 2))
     expected = {frozenset(c) for c in nx.connected_components(square)}
-    comps = two_linked_components(g, a_mask)
+    comps = g.components(a_mask, hops=2)
     assert {frozenset(bits_list(c)) for c in comps} == expected, label
     assert len(comps) == len(expected)
     assert is_two_linked(g, a_mask) == (len(expected) == 1), label
@@ -197,9 +194,9 @@ def test_side_of():
 def test_heavy_neighborhood():
     g = c8()
     rec = closure(g, mask_of([0, 2]))
-    assert heavy_neighborhood(g, rec, 2) == 1 << 1
-    assert heavy_neighborhood(g, rec, 0) == rec.nbhd
-    assert heavy_neighborhood(g, rec, 3) == 0
+    assert g.heavy(rec.nbhd, rec.closure, 2) == 1 << 1
+    assert g.heavy(rec.nbhd, rec.closure, 0) == rec.nbhd
+    assert g.heavy(rec.nbhd, rec.closure, 3) == 0
 
 
 def test_boundary_complement_is_fully_interior():
@@ -211,7 +208,7 @@ def test_boundary_complement_is_fully_interior():
             rec = closure(g, 1 << v)
             assert rec.boundary & ~rec.nbhd == 0
             interior = rec.nbhd & ~rec.boundary
-            assert interior == heavy_neighborhood(g, rec, g.degree(0)), label
+            assert interior == g.heavy(rec.nbhd, rec.closure, g.degree(0)), label
 
 
 def test_times_k2_odd_cycle():

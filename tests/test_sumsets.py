@@ -1,16 +1,14 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleycount import groups
 from cayleycount.errors import InvalidInputError, SearchSpaceTooLargeError
-from cayleycount.graphs import iter_bits, mask_of
+from cayleycount.graphs import mask_of
 from cayleycount.groups import GeneratorSet, add_ids, make_group, symmetrize
 from cayleycount.sumsets import (
     ThinningConfig,
-    basic_expansion_check,
     chain_witness_search,
     iterated_growth_check,
     iterated_sumset,
@@ -18,7 +16,6 @@ from cayleycount.sumsets import (
     olson_check,
     prp_witness_search,
     sumset,
-    sumset_stats,
     thin_generators,
 )
 
@@ -159,25 +156,6 @@ def test_chain_greedy_mode():
         chain_witness_search(z64, mask_of({0}), mask_of({1}), 2, c=2)
 
 
-def test_sumset_stats():
-    z8 = make_group([8])
-    st8 = sumset_stats(z8, mask_of({1, 7}))
-    assert st8.base == mask_of({1, 7})
-    assert st8.double == mask_of({0, 2, 6}) and st8.doubling == 3
-    assert st8.reps == {0: 1}
-    # pair-count consistency: total representations = C(|D|, 2)
-    z16 = make_group([16])
-    d = {1, 3, 5, 11, 13, 15}
-    stats = sumset_stats(z16, mask_of(d))
-    assert sum(stats.reps.values()) == len(list(combinations(d, 2)))
-    assert stats.heavy(1.0) & ~stats.double == 0
-    # representation pairs with the same sum are pairwise disjoint
-    for u in iter_bits(stats.double):
-        pairs = [p for p in combinations(sorted(d), 2) if (p[0] + p[1]) % 16 == u]
-        flat = [x for p in pairs for x in p]
-        assert len(flat) == len(set(flat))
-
-
 def test_minimal_generating_subset():
     z1024 = make_group([1024])
     s = minimal_generating_subset(z1024, mask_of(symmetrize(z1024, range(1, 65))))
@@ -214,42 +192,3 @@ def test_thinning_warns_on_large_doubling():
     _, rep = thin_generators(spec, gens, ThinningConfig(alpha=1.0, seed=0))
     assert not rep.precondition_doubling_ok
     assert rep.generating and rep.symmetric
-
-
-def test_expansion_report_c8():
-    z8 = make_group([8])
-    gens = GeneratorSet(z8, {1, 7})
-    rep = basic_expansion_check(z8, mask_of({0, 2}), gens)
-    # M + 2D covers the whole side, so the doubling corollary is inapplicable
-    assert not rep.doubling_from_expansion.applicable
-    # D' = D default: |D + D| >= |2D| (1 - 1/log^2 d) trivially
-    assert rep.partial_doubling.applicable and rep.partial_doubling.holds
-
-
-def test_expansion_applicable_case():
-    z32 = make_group([32])
-    gens = GeneratorSet(z32, {1, 31})
-    rep = basic_expansion_check(z32, mask_of({0, 2}), gens)
-    assert rep.doubling_from_expansion.applicable
-    assert rep.doubling_from_expansion.holds
-    # {0,2} contains u + D' for u = 1 and D' = D
-    assert rep.sixth_expansion.applicable
-    assert rep.sixth_expansion.holds
-
-
-def test_expansion_random_instances_hold_when_applicable():
-    import random
-    rng = random.Random(11)
-    for _ in range(40):
-        order = rng.choice([16, 24, 32, 48, 64])
-        spec = make_group([order])
-        base = {rng.randrange(1, order) for _ in range(rng.randint(1, 4))}
-        gens_ids = symmetrize(spec, base)
-        if 0 in gens_ids:
-            continue
-        gens = GeneratorSet(spec, gens_ids)
-        m = {rng.randrange(order) for _ in range(rng.randint(1, order // 4))}
-        rep = basic_expansion_check(spec, mask_of(m), gens)
-        for sub in (rep.doubling_from_expansion, rep.partial_doubling, rep.sixth_expansion):
-            if sub.applicable:
-                assert sub.holds, (order, sorted(base), sorted(m))
