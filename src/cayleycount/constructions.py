@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 from . import counting, groups
 from .errors import (
     GadgetSearchError,
+    InstanceTooLargeError,
     InvalidInputError,
     InvariantViolation,
     MalformedIntervalsError,
@@ -29,6 +30,9 @@ from .graphs import (
 )
 from .groups import GeneratorSet
 
+# Seeded rejection-sampling attempts per gadget
+GADGET_ATTEMPTS = 2000
+
 
 # -- gadget ring ----------------------------------------------------------------
 
@@ -39,6 +43,8 @@ class GadgetRingConfig:
 
     Each block has 4d - 2 vertices, so the ring has 2n = 2(4d - 2)t vertices
     with n = (4d - 2) t; an even number of blocks keeps the ring bipartite.
+    A ring above `groups.MAX_ORDER` vertices is refused before anything is
+    built.
     """
 
     d: int
@@ -51,6 +57,9 @@ class GadgetRingConfig:
                 "d must be >= 3: a connected gadget needs 2d(d-1) >= 4d - 3 edges")
         if self.t < 2:
             raise InvalidInputError("t must be >= 2")
+        if 2 * self.n > groups.MAX_ORDER:
+            raise InstanceTooLargeError(
+                f"a ring of {2 * self.n} vertices exceeds the size budget {groups.MAX_ORDER}")
 
     @property
     def blocks(self) -> int:
@@ -65,13 +74,14 @@ class GadgetRingConfig:
         return 4 * self.d - 2
 
 
-def build_gadget(d: int, seed: int = 0, max_attempts: int = 2000) -> Graph:
+def build_gadget(d: int, seed: int = 0) -> Graph:
     """One bipartite block: left part X of 2d - 2 vertices with degree d,
     right part Y u Z of 2d vertices with degree d - 1, vertex connectivity
     at least d - 1.
 
-    Found by seeded rejection sampling over biregular configurations; any
-    simple graph meeting the degree and connectivity constraints works.
+    Found by seeded rejection sampling over biregular configurations, at
+    most GADGET_ATTEMPTS draws; any simple graph meeting the degree and
+    connectivity constraints works.
     Vertex layout: X = 0..2d-3, Y = 2d-2..3d-3, Z = 3d-2..4d-3.
     """
     if d < 3:
@@ -80,7 +90,7 @@ def build_gadget(d: int, seed: int = 0, max_attempts: int = 2000) -> Graph:
     nx, nr = 2 * d - 2, 2 * d
     rng = random.Random(f"gadget:{d}:{seed}")
     left_stubs = [x for x in range(nx) for _ in range(d)]
-    for _ in range(max_attempts):
+    for _ in range(GADGET_ATTEMPTS):
         right_stubs = [nx + r for r in range(nr) for _ in range(d - 1)]
         rng.shuffle(right_stubs)
         adj = [0] * (nx + nr)
@@ -97,7 +107,7 @@ def build_gadget(d: int, seed: int = 0, max_attempts: int = 2000) -> Graph:
         if vertex_connectivity(g) >= d - 1:
             return g
     raise GadgetSearchError(
-        f"no ({d})-gadget found in {max_attempts} attempts; retry with a new seed")
+        f"no ({d})-gadget found in {GADGET_ATTEMPTS} attempts; retry with a new seed")
 
 
 @dataclass
@@ -184,7 +194,6 @@ def _chosen_sides(ring: GadgetRing, intervals: Sequence[tuple[int, int]]) -> lis
 @dataclass
 class MaximalSetReport:
     size: int
-    c: int
     independent: bool
     maximal: bool
     size_ok: bool       # size >= n - 2c
@@ -199,9 +208,8 @@ def maximal_set_from_intervals(ring: GadgetRing,
     nbhd = g.nbhd(m)
     independent = nbhd & m == 0
     maximal = independent and nbhd | m == g.full_mask()
-    c = len(intervals)
-    return m, MaximalSetReport(size=m.bit_count(), c=c, independent=independent,
-                               maximal=maximal, size_ok=m.bit_count() >= ring.cfg.n - 2 * c)
+    return m, MaximalSetReport(size=m.bit_count(), independent=independent, maximal=maximal,
+                               size_ok=m.bit_count() >= ring.cfg.n - 2 * len(intervals))
 
 
 def enumerate_interval_families(blocks: int) -> list[tuple[tuple[int, int], ...]]:
@@ -226,7 +234,6 @@ def enumerate_interval_families(blocks: int) -> list[tuple[tuple[int, int], ...]
 
 @dataclass
 class IntervalFamilyReport:
-    per_block_sizes: list[int]
     count: int                    # number of independent sets of this type
     cross_edges_ok: bool          # chosen sides of consecutive blocks never clash
 
@@ -239,8 +246,7 @@ def interval_family_count(ring: GadgetRing,
     sides (checked exactly)."""
     chosen = _chosen_sides(ring, intervals)
     total = sum(chosen)     # the blocks are disjoint
-    sizes = [cm.bit_count() for cm in chosen]
-    return IntervalFamilyReport(sizes, prod((1 << s) - 1 for s in sizes),
+    return IntervalFamilyReport(prod((1 << cm.bit_count()) - 1 for cm in chosen),
                                 ring.graph.nbhd(total) & total == 0)
 
 
@@ -314,9 +320,7 @@ class CirculantStructureReport:
     min_coverage: float = 1.0
 
 
-def odd_circulant_structure_check(cfg: OddCirculantConfig,
-                                  max_states: int = counting.DEFAULT_ENUM_STATES,
-                                  ) -> CirculantStructureReport:
+def odd_circulant_structure_check(cfg: OddCirculantConfig) -> CirculantStructureReport:
     """Exhaustively check the structure of small 2-linked closed sets:
     closures are intervals of evens, neighborhoods are difference-2
     progressions of size a + d, counts vanish off t = d, and a constant
@@ -324,7 +328,7 @@ def odd_circulant_structure_check(cfg: OddCirculantConfig,
     graph = build_odd_circulant(cfg)
     n, d = cfg.n, cfg.d
     report = CirculantStructureReport()
-    for rec in counting.enumerate_small_2linked_closed(graph, "X", max_states):
+    for rec in counting.enumerate_small_2linked_closed(graph, "X"):
         closure_idx = {v // 2 for v in iter_bits(rec.closure)}
         nbhd_idx = {(v - 1) // 2 for v in iter_bits(rec.nbhd)}
         covering = counting.count_closure_preimages(graph, rec, require_two_linked=False)
@@ -341,7 +345,7 @@ def odd_circulant_structure_check(cfg: OddCirculantConfig,
         report.all_intervals &= chk.closure_is_interval
         report.all_nbhd_ap &= chk.nbhd_is_ap
         report.min_coverage = min(report.min_coverage, chk.coverage_fraction)
-    report.table = counting.container_table(graph, "X", max_states)
+    report.table = counting.container_table(graph, "X")
     for (a, g), cnt in report.table.entries.items():
         if g - a != d:
             report.table_zero_off_diag = False

@@ -67,9 +67,8 @@ class ApproxParams:
 class CoverResult:
     chosen: list[int]          # indices into the candidate list
     chosen_mask: int           # union of the chosen sets (within the universe)
-    a_min: int                 # min cover multiplicity over the universe
-    b_max: int                 # max candidate size within the universe
-    bound: float               # (|B|/a)(1 + ln b)
+    bound: float               # (|B|/a)(1 + ln b): a the least cover multiplicity
+                               # over the universe, b the largest candidate in it
 
 
 def greedy_cover(universe: int, candidates: Sequence[int]) -> CoverResult:
@@ -77,7 +76,7 @@ def greedy_cover(universe: int, candidates: Sequence[int]) -> CoverResult:
     covered.  The selection provably stays within (|B|/a)(1 + ln b), which is
     checked on every call."""
     if universe == 0:
-        return CoverResult([], 0, 0, 0, 0.0)
+        return CoverResult([], 0, 0.0)
     restricted = [c & universe for c in candidates]
     cover_count: dict[int, int] = {}
     for c in restricted:
@@ -101,7 +100,7 @@ def greedy_cover(universe: int, candidates: Sequence[int]) -> CoverResult:
     bound = (len(candidates) / a_min) * (1 + math.log(b_max))
     if len(chosen) > bound:
         raise InvariantViolation("greedy exceeded the Lovász-Stein guarantee")
-    return CoverResult(chosen, covered, a_min, b_max, bound)
+    return CoverResult(chosen, covered, bound)
 
 
 def neighborhood_cover(graph: Graph, universe: int, pool: int) -> int:
@@ -202,14 +201,6 @@ def split_relative(state: ContractionState, rec: ClosedSetRecord):
 
 
 @dataclass
-class PhiApprox:
-    f_mask: int
-    z1: int = 0
-    z2: int = 0
-    degenerate: bool = False
-
-
-@dataclass
 class PhiSampleConfig:
     max_retries: int = 100
     size_coeff: float = 50.0       # |Q0| threshold coefficient, times t / log^2 d
@@ -223,11 +214,7 @@ class PhiSampleReport:
     degenerate: bool
     retries: int
     properties: tuple[bool, bool, bool, bool] | None
-    values: tuple[int, int, int, int] | None
-    thresholds: tuple[float, float, float, float] | None
-    f_size: int = 0
-    z1_size: int = 0
-    z2_size: int = 0
+    f_size: int
 
 
 def check_phi(graph: Graph, rec: ClosedSetRecord, f_mask: int,
@@ -246,9 +233,9 @@ def check_phi(graph: Graph, rec: ClosedSetRecord, f_mask: int,
 
 def phi_approx_sample(graph: CayleyGraph, rec: ClosedSetRecord, c_mask: int,
                       seed: int = 0, cfg: Optional[PhiSampleConfig] = None,
-                      ) -> tuple[PhiApprox, PhiSampleReport]:
-    """Sample a phi-approximation for the record, given a container C for
-    its boundary.
+                      ) -> tuple[int, PhiSampleReport]:
+    """Sample a phi-approximation F for the record, given a container C for
+    its boundary, and return the mask of F with a report.
 
     Draws Q0 as a p-random subset of C intersected with G (p = 60 log d / d2,
     clamped), retries until the four size properties hold, then assembles
@@ -273,12 +260,9 @@ def phi_approx_sample(graph: CayleyGraph, rec: ClosedSetRecord, c_mask: int,
     p = 60.0 * math.log2(d) / d2 if d >= 2 else 1.0
 
     if p >= 1.0 or params.phi_degenerate:
-        approx = PhiApprox(f_mask=rec.nbhd, degenerate=True)
-        if not check_phi(graph, rec, approx.f_mask, params):
+        if not check_phi(graph, rec, rec.nbhd, params):
             raise InvariantViolation("F = G is not a phi-approximation")
-        report = PhiSampleReport(True, 0, None, None, None,
-                                 f_size=rec.g, z1_size=rec.g, z2_size=0)
-        return approx, report
+        return rec.nbhd, PhiSampleReport(True, 0, None, rec.g)
 
     adj = graph.adj
     t = rec.t
@@ -337,11 +321,7 @@ def phi_approx_sample(graph: CayleyGraph, rec: ClosedSetRecord, c_mask: int,
         f_mask = z1 | z2
         if not check_phi(graph, rec, f_mask, params):
             raise InvariantViolation("sampled F is not a phi-approximation")
-        approx = PhiApprox(f_mask, z1, z2, False)
-        report = PhiSampleReport(False, attempt + 1, props, vals, thresholds,
-                                 f_size=f_mask.bit_count(),
-                                 z1_size=z1.bit_count(), z2_size=z2.bit_count())
-        return approx, report
+        return f_mask, PhiSampleReport(False, attempt + 1, props, f_mask.bit_count())
     raise RetriesExhaustedError(
         f"phi sampler failed {cfg.max_retries} retries; "
         f"last values {last_vals} vs thresholds {thresholds} ({last_props})")
@@ -403,13 +383,8 @@ def psi_approx(graph: Graph, rec: ClosedSetRecord, f_mask: int) -> PsiApprox:
 class PsiCheckReport:
     valid: bool
     covers_closure: bool
-    f_inside_g: bool
-    s_degrees_ok: bool
-    outside_degrees_ok: bool
     size_bound_ok: Optional[bool]    # None when psi = d (degenerate split)
-    s_size: int = 0
-    f_size: int = 0
-    size_rhs: Optional[float] = None
+    s_size: int
 
 
 def check_psi(graph: Graph, rec: ClosedSetRecord, approx: PsiApprox) -> PsiCheckReport:
@@ -430,12 +405,10 @@ def check_psi(graph: Graph, rec: ClosedSetRecord, approx: PsiApprox) -> PsiCheck
     valid = covers and inside and s_deg and out_deg
 
     if params.psi_degenerate:
-        size_ok, rhs = None, None
+        size_ok = None
     else:
-        rhs = f_mask.bit_count() + 2 * rec.t * psi / (d - psi)
-        size_ok = s_mask.bit_count() <= rhs
-    return PsiCheckReport(valid, covers, inside, s_deg, out_deg, size_ok,
-                          s_mask.bit_count(), f_mask.bit_count(), rhs)
+        size_ok = s_mask.bit_count() <= f_mask.bit_count() + 2 * rec.t * psi / (d - psi)
+    return PsiCheckReport(valid, covers, size_ok, s_mask.bit_count())
 
 
 # -- boundary containers ---------------------------------------------------------------
@@ -446,15 +419,10 @@ class BoundaryContainer:
     c_mask: int
     fallback: bool
     ratio: Optional[float]          # |C| / (t d2 / log^3 d), when defined
-    z2: int = 0
-    z3: int = 0
-    residual: int = 0               # the N^2((G_c \ M') & G0) part
-    trimmed_tail: int = 0           # the N([A] \ A_core) part
     core: int = 0                   # the trimmed closed subset of the closure
 
 
-def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
-                       c: Optional[float] = None) -> BoundaryContainer:
+def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryContainer:
     """Assemble a per-record container C covering the boundary G' from
     greedy covers of the structured ingredient pieces.
 
@@ -463,7 +431,8 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
     first ring around the core, covers the part reachable twice from a
     trimmed outside set, and includes the leftovers directly.  Containment
     of G' is deterministic and checked.  When the parameters degenerate
-    (small degree), the trivially valid C = G' is returned instead.
+    (small degree), the trivially valid C = G' is returned instead.  The
+    chain constant is c = log^2 d.
     """
     if graph.parts is None or not graph.is_connected():
         raise InvalidInputError("boundary container needs a connected bipartite graph")
@@ -471,8 +440,7 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
         raise InvalidInputError("record must be small")
     d = regular_degree(graph)
     d2 = graph.gens.d2
-    if c is None:
-        c = math.log2(d) ** 2 if d >= 2 else 0.0
+    c = math.log2(d) ** 2 if d >= 2 else 0.0
     t = rec.t
     denom = t * d2 / math.log2(d) ** 3 if d >= 2 and t > 0 else None
 
@@ -507,10 +475,10 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord,
     reachable = light & graph.nbhd_iter(m_prime, 2)
     z3 = neighborhood_cover(graph, reachable, a2)
 
-    residual = graph.nbhd_iter((outside & ~m_prime) & g0, 2)
-    tail = graph.nbhd(rec.closure & ~core)
+    residual = graph.nbhd_iter((outside & ~m_prime) & g0, 2)   # N^2((G_c \ M') & G0)
+    tail = graph.nbhd(rec.closure & ~core)                      # N([A] \ A_core)
     c_mask = graph.nbhd(z2) | graph.nbhd(z3) | residual | tail
     if rec.boundary & ~c_mask:
         raise InvariantViolation("container must cover the boundary")
     ratio = c_mask.bit_count() / denom if denom else None
-    return BoundaryContainer(c_mask, False, ratio, z2, z3, residual, tail, core)
+    return BoundaryContainer(c_mask, False, ratio, core)

@@ -20,8 +20,8 @@ from .graphs import ClosedSetRecord, Graph, bits_list, closure, is_two_linked, i
 
 DEFAULT_BRANCHING_BUDGET = 64
 DEFAULT_BRUTEFORCE_BUDGET = 26
-DEFAULT_SUBSET_SUM_BUDGET = 20
-DEFAULT_ENUM_STATES = 1 << 20
+SUBSET_SUM_BUDGET = 20
+ENUM_STATE_BUDGET = 1 << 20
 
 
 def count_independent_sets(graph: Graph, budget: int = DEFAULT_BRANCHING_BUDGET) -> int:
@@ -157,8 +157,7 @@ def lucas_number(n: int) -> int:
 # -- small 2-linked closed sets ---------------------------------------------------
 
 
-def enumerate_small_2linked_closed(graph: Graph, side: str = "X",
-                                   max_states: int = DEFAULT_ENUM_STATES) -> Iterator[ClosedSetRecord]:
+def enumerate_small_2linked_closed(graph: Graph, side: str = "X") -> Iterator[ClosedSetRecord]:
     """All closed ([A] = A), 2-linked, small sets on one side, each exactly
     once.
 
@@ -167,7 +166,8 @@ def enumerate_small_2linked_closed(graph: Graph, side: str = "X",
     way through closed 2-linked subsets of itself, and smallness prunes
     soundly because closures only grow along the walk.  Visited-state
     dedup keeps the walk output-sensitive, so structured graphs far beyond
-    exhaustive-subset range still enumerate quickly.
+    exhaustive-subset range still enumerate quickly.  More than
+    ENUM_STATE_BUDGET states raise InstanceTooLargeError.
     """
     if graph.parts is None:
         raise InvalidInputError("enumeration requires a bipartite graph")
@@ -176,7 +176,7 @@ def enumerate_small_2linked_closed(graph: Graph, side: str = "X",
     seen: set[int] = set()
     queue = [0]     # the empty state: its children are the single-vertex closures
     for state in queue:
-        if len(seen) > max_states:
+        if len(seen) > ENUM_STATE_BUDGET:
             raise InstanceTooLargeError("closed-set enumeration exceeded state budget")
         if state:
             yield closure(graph, state, side_mask)
@@ -237,13 +237,12 @@ class ContainerTable:
         return sorted((a, g, g - a, c) for (a, g), c in self.entries.items())
 
 
-def container_table(graph: Graph, side: str = "X",
-                    max_states: int = DEFAULT_ENUM_STATES) -> ContainerTable:
+def container_table(graph: Graph, side: str = "X") -> ContainerTable:
     if graph.parts is None:
         raise InvalidInputError("container table requires a bipartite graph")
     side_mask = graph.parts[0] if side == "X" else graph.parts[1]
     table = ContainerTable(n=side_mask.bit_count())
-    for rec in enumerate_small_2linked_closed(graph, side, max_states):
+    for rec in enumerate_small_2linked_closed(graph, side):
         key = (rec.a, rec.g)
         table.closed_entries[key] = table.closed_entries.get(key, 0) + 1
         cnt = count_closure_preimages(graph, rec)
@@ -277,7 +276,7 @@ class SideSumReport:
         return 2 * self.sum_small_closure
 
 
-def bipartite_bound_sum(graph: Graph, budget: int = DEFAULT_SUBSET_SUM_BUDGET) -> SideSumReport:
+def bipartite_bound_sum(graph: Graph) -> SideSumReport:
     """Evaluate sum over A of 2^(n - |N(A)|) on one side, exactly, in both
     the |A|-small and |[A]|-small variants.
 
@@ -290,8 +289,9 @@ def bipartite_bound_sum(graph: Graph, budget: int = DEFAULT_SUBSET_SUM_BUDGET) -
     x_mask, _ = graph.parts
     xs = bits_list(x_mask)
     n = len(xs)
-    if n > budget:
-        raise InstanceTooLargeError(f"side size {n} exceeds subset-sum budget {budget}")
+    if n > SUBSET_SUM_BUDGET:
+        raise InstanceTooLargeError(
+            f"side size {n} exceeds subset-sum budget {SUBSET_SUM_BUDGET}")
     rows = [graph.adj[v] for v in xs]
     sum_size = 0
     sum_closure = 0
@@ -313,14 +313,14 @@ def bipartite_bound_sum(graph: Graph, budget: int = DEFAULT_SUBSET_SUM_BUDGET) -
     return SideSumReport(n, sum_size, sum_closure)
 
 
-def _exp_lower(x: Fraction, prec_bits: int = 200) -> Fraction:
+def _exp_lower(x: Fraction) -> Fraction:
     """Rigorous rational lower bound on exp(x) for x >= 0: a Taylor sum in
-    fixed-point arithmetic with every term floored, so rounding always
-    points downward."""
+    200-bit fixed-point arithmetic with every term floored, so rounding
+    always points downward."""
     if x < 0:
         raise InvalidInputError("exponent must be nonnegative")
     num, den = x.numerator, x.denominator
-    scale = 1 << prec_bits
+    scale = 1 << 200
     total = scale
     term = scale
     k = 1
@@ -335,19 +335,17 @@ def _exp_lower(x: Fraction, prec_bits: int = 200) -> Fraction:
 class ClusterBoundReport:
     n: int
     sum_all: Fraction        # sum of 2^-g over all small 2-linked sets
-    sum_closed: Fraction     # same sum over closed representatives only
     bound_lower: Fraction    # rigorous lower bound on 2^(n+1) * exp(sum_all)
     bound_float: float
     i_count: int
     holds: bool
-    holds_closed: bool
+    holds_closed: bool       # the same test with the closed representatives' sum
 
 
-def cluster_bound(graph: Graph, side: str = "X",
-                  count_budget: int = DEFAULT_BRANCHING_BUDGET,
-                  max_states: int = DEFAULT_ENUM_STATES) -> ClusterBoundReport:
+def cluster_bound(graph: Graph) -> ClusterBoundReport:
     """Evaluate the cluster-style upper bound 2^(n+1) * exp(sum 2^-|N(A)|)
-    over small 2-linked sets and compare it against the exact count.
+    over small 2-linked sets on side X and compare it against the exact
+    count.
 
     The exponential is lower-bounded by an exact rational partial sum, so a
     reported `holds` is rigorous (outward rounding).  The sum over all small
@@ -355,7 +353,7 @@ def cluster_bound(graph: Graph, side: str = "X",
     upper bound; the closed-representative variant is reported alongside
     for comparison but genuinely undershoots i(G) on some dense instances.
     """
-    table = container_table(graph, side, max_states)
+    table = container_table(graph, "X")
     sum_all = Fraction(0)
     for (a, g), cnt in table.entries.items():
         sum_all += Fraction(cnt, 1 << g)
@@ -366,11 +364,10 @@ def cluster_bound(graph: Graph, side: str = "X",
     scale = 1 << (n + 1)
     bound_lower = scale * _exp_lower(sum_all)
     bound_closed_lower = scale * _exp_lower(sum_closed)
-    i_count = count_independent_sets(graph, count_budget)
+    i_count = count_independent_sets(graph)
     return ClusterBoundReport(
         n=n,
         sum_all=sum_all,
-        sum_closed=sum_closed,
         bound_lower=bound_lower,
         bound_float=scale * exp(float(sum_all)),
         i_count=i_count,

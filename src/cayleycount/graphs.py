@@ -174,10 +174,10 @@ def build_cayley(group: GroupSpec, gens: GeneratorSet) -> CayleyGraph:
 
 @dataclass(frozen=True)
 class ClosedSetRecord:
-    """A set A on one side of a bipartite graph together with its closure,
-    neighborhood G, boundary G', and the (a, g, t) statistics."""
+    """The closure [A] of a set A on one side of a bipartite graph, with
+    A's neighborhood G, boundary G', and the (a, g, t) statistics.  A
+    itself is not kept: every set with the same G has the same record."""
 
-    a_set: int          # the original A
     closure: int        # [A]: side vertices whose whole neighborhood is in G
     nbhd: int           # G = N(A)
     boundary: int       # G' = vertices of G with a neighbor outside [A]
@@ -215,7 +215,7 @@ def closure(graph: Graph, a_mask: int, side: Optional[int] = None) -> ClosedSetR
     g = graph.nbhd(a_mask)
     closed = graph.interior(side, g)
     boundary = graph.heavy(g, side & ~closed, 1)
-    return ClosedSetRecord(a_mask, closed, g, boundary, side, side.bit_count())
+    return ClosedSetRecord(closed, g, boundary, side, side.bit_count())
 
 
 def is_two_linked(graph: Graph, a_mask: int) -> bool:

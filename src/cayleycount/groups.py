@@ -95,12 +95,16 @@ def _invariant_factors(factors: Sequence[int]) -> tuple[int, ...]:
 
 def make_group(factors: Sequence[int]) -> GroupSpec:
     """Build a group from cyclic factor orders, canonicalized so that
-    isomorphic inputs produce equal specs."""
+    isomorphic inputs produce equal specs.  An order above MAX_ORDER is
+    refused before the factors are factored."""
     if not factors:
         raise InvalidGroupError("need at least one factor")
     for m in factors:
         if not isinstance(m, int) or m < 2:
             raise InvalidGroupError(f"invalid cyclic factor {m!r}")
+    order = prod(factors)
+    if order > MAX_ORDER:
+        raise InstanceTooLargeError(f"group order {order} exceeds the size budget {MAX_ORDER}")
     return GroupSpec(_invariant_factors(factors))
 
 

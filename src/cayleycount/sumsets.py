@@ -22,8 +22,9 @@ from . import groups
 from .errors import InvalidInputError, InvariantViolation, SearchSpaceTooLargeError
 from .groups import GeneratorSet, GroupSpec, bits_list, iter_bits, sumset
 
-DEFAULT_WITNESS_CAP = 20
-DEFAULT_CHAIN_CAP = 16
+# The largest |M| each exhaustive search takes
+WITNESS_CAP = 20
+CHAIN_CAP = 16
 
 
 def iterated_sumset(spec: GroupSpec, a: int, d: int, i: int) -> int:
@@ -43,7 +44,6 @@ class GrowthReport:
     m: int
     d: int
     t: int
-    i: int
     lhs: int
     rhs: int
     holds: bool
@@ -63,7 +63,7 @@ def iterated_growth_check(spec: GroupSpec, m_set: int, d_set: int, i: int) -> Gr
     lhs = iterated_sumset(spec, md, d_set, i - 1).bit_count()
     d = d_set.bit_count()
     rhs = m + d ** i * t
-    return GrowthReport(m, d, t, i, lhs, rhs, lhs <= rhs)
+    return GrowthReport(m, d, t, lhs, rhs, lhs <= rhs)
 
 
 # -- Plünnecke-Ruzsa-Petridis witness --------------------------------------------
@@ -72,14 +72,12 @@ def iterated_growth_check(spec: GroupSpec, m_set: int, d_set: int, i: int) -> Gr
 @dataclass
 class PrpWitness:
     alpha: Fraction
-    j: int
     witness: int
     lhs: int
     rhs: Fraction
 
 
-def prp_witness_search(spec: GroupSpec, m_set: int, d_set: int,
-                       j: int, cap: int = DEFAULT_WITNESS_CAP) -> PrpWitness:
+def prp_witness_search(spec: GroupSpec, m_set: int, d_set: int, j: int) -> PrpWitness:
     """Largest M' <= M with |M' + jD| <= alpha^j |M'|, alpha = |M+D|/|M|.
 
     Exhaustive largest-first subset search; existence is guaranteed, so an
@@ -90,8 +88,8 @@ def prp_witness_search(spec: GroupSpec, m_set: int, d_set: int,
     if j < 1:
         raise InvalidInputError("j must be >= 1")
     m = m_set.bit_count()
-    if m > cap:
-        raise SearchSpaceTooLargeError(f"|M| = {m} exceeds exhaustive cap {cap}")
+    if m > WITNESS_CAP:
+        raise SearchSpaceTooLargeError(f"|M| = {m} exceeds exhaustive cap {WITNESS_CAP}")
     md = sumset(spec, m_set, d_set).bit_count()
     jd = iterated_sumset(spec, 1, d_set, j)
     bits = [1 << x for x in iter_bits(m_set)]
@@ -103,7 +101,7 @@ def prp_witness_search(spec: GroupSpec, m_set: int, d_set: int,
             lhs = sumset(spec, sub, jd).bit_count()
             if lhs <= floor_rhs:
                 alpha = Fraction(md, m)
-                return PrpWitness(alpha, j, sub, lhs, alpha ** j * size)
+                return PrpWitness(alpha, sub, lhs, alpha ** j * size)
     raise InvariantViolation(
         "no witness found: the inequality is a theorem, this is a bug")
 
@@ -118,7 +116,6 @@ class OlsonReport:
     m: int
     n: int
     sum_size: int            # |M + N|
-    sum2_size: int           # |M + 2N|
 
 
 def olson_check(spec: GroupSpec, m_set: int, n_set: int) -> OlsonReport:
@@ -143,7 +140,6 @@ def olson_check(spec: GroupSpec, m_set: int, n_set: int) -> OlsonReport:
         m=m,
         n=n,
         sum_size=sum_size,
-        sum2_size=m2n.bit_count(),
     )
 
 
@@ -156,7 +152,6 @@ class ChainWitness:
     success: bool
     mode: str                        # "exhaustive" or "greedy"
     t: int
-    removal_budget: int
     bounds: list[tuple[int, int, int]] = field(default_factory=list)  # (i, lhs, rhs)
 
 
@@ -166,20 +161,22 @@ def _chain_bound(m: int, i: int, c: Fraction, t: int) -> int:
 
 
 def chain_witness_search(spec: GroupSpec, m_set: int, d_set: int,
-                         k: int, c: float = 4, mode: str = "auto",
-                         cap: int = DEFAULT_CHAIN_CAP) -> ChainWitness:
+                         k: int, c: float, mode: str) -> ChainWitness:
     """Find a chain M = M^(0) >= ... >= M^(k), each step removing at most
     t/c elements, with |M^(i) + (i+1)D| <= m + (2i)^(i+1) c^i t for each
     level 1 <= i <= k.
 
-    Exhaustive mode proves existence on small instances; greedy mode
-    (repeatedly drop the element whose removal shrinks the iterated sumset
-    most) reports success or failure without an existence guarantee.
+    `mode` is "exhaustive" or "greedy".  Exhaustive mode proves existence
+    on small instances (|M| <= CHAIN_CAP); greedy mode (repeatedly drop the
+    element whose removal shrinks the iterated sumset most) reports success
+    or failure without an existence guarantee.
     """
     if not m_set or not d_set:
         raise InvalidInputError("M and D must be nonempty")
     if k < 1:
         raise InvalidInputError("k must be >= 1")
+    if mode not in ("exhaustive", "greedy"):
+        raise InvalidInputError(f"mode must be 'exhaustive' or 'greedy', got {mode!r}")
     c_frac = Fraction(c).limit_denominator(10**6) if not isinstance(c, int) else Fraction(c)
     if c_frac < 4:
         raise InvalidInputError("c must be >= 4")
@@ -189,10 +186,8 @@ def chain_witness_search(spec: GroupSpec, m_set: int, d_set: int,
         raise InvalidInputError("|M + D| < |M|: chain precondition violated")
     budget = t * c_frac.denominator // c_frac.numerator
 
-    if mode == "auto":
-        mode = "exhaustive" if m <= cap else "greedy"
-    if mode == "exhaustive" and m > cap:
-        raise SearchSpaceTooLargeError(f"|M| = {m} exceeds exhaustive cap {cap}")
+    if mode == "exhaustive" and m > CHAIN_CAP:
+        raise SearchSpaceTooLargeError(f"|M| = {m} exceeds exhaustive cap {CHAIN_CAP}")
 
     # powers[i] = (i+1)D; rhs[i] is the level-i bound, floored since lhs is
     # an integer
@@ -223,7 +218,7 @@ def chain_witness_search(spec: GroupSpec, m_set: int, d_set: int,
         found = dfs(m_set, 1)
         steps = found or []
         return ChainWitness([m_set] + [s for s, _ in steps], found is not None,
-                            "exhaustive", t, budget, [b for _, b in steps])
+                            "exhaustive", t, [b for _, b in steps])
 
     # greedy
     chain = [m_set]
@@ -248,7 +243,7 @@ def chain_witness_search(spec: GroupSpec, m_set: int, d_set: int,
         if not success:
             break
         chain.append(current)
-    return ChainWitness(chain, success, "greedy", t, budget, bounds)
+    return ChainWitness(chain, success, "greedy", t, bounds)
 
 
 # -- generator thinning -------------------------------------------------------------
@@ -270,18 +265,12 @@ class ThinningConfig:
 
 @dataclass
 class ThinningReport:
-    d_size: int
-    thin_size: int
-    window: tuple[float, float]
-    in_window: bool
-    doubling_lhs: int
-    doubling_rhs: float
-    doubling_ok: bool
+    in_window: bool                  # d/(20 alpha) <= |thin| <= 2d/(5 alpha)
+    doubling_ok: bool                # |2 thin| >= alpha |thin|
     generating: bool
     symmetric: bool
-    minimal_gen_size: int
-    minimal_gen_log_ok: bool
-    precondition_doubling_ok: bool
+    minimal_gen_log_ok: bool         # |S| <= log2 of the group order
+    precondition_doubling_ok: bool   # |2D| <= alpha d
 
 
 def minimal_generating_subset(spec: GroupSpec, d_set: int) -> int:
@@ -319,19 +308,12 @@ def thin_generators(spec: GroupSpec, gens: GeneratorSet,
     s_set = minimal_generating_subset(spec, gens.mask)
     thin = GeneratorSet(spec, groups.symmetrize(spec, picked + bits_list(s_set)))
 
-    window = (d / (20 * alpha), 2 * d / (5 * alpha))
     doubled = sumset(spec, thin.mask, thin.mask).bit_count()
     report = ThinningReport(
-        d_size=d,
-        thin_size=thin.d,
-        window=window,
-        in_window=window[0] <= thin.d <= window[1],
-        doubling_lhs=doubled,
-        doubling_rhs=alpha * thin.d,
+        in_window=d / (20 * alpha) <= thin.d <= 2 * d / (5 * alpha),
         doubling_ok=doubled >= alpha * thin.d,
         generating=groups.is_generating(spec, thin.mask),
         symmetric=True,  # enforced by the GeneratorSet constructor
-        minimal_gen_size=s_set.bit_count(),
         minimal_gen_log_ok=s_set.bit_count() <= math.log2(spec.order),
         precondition_doubling_ok=precondition_ok,
     )

@@ -16,17 +16,17 @@ def _run(result):
 
 def test_criterion_01_engine_equivalence():
     # branching engine == 2^V brute force on every corpus graph <= 24 vertices
-    _run(verify.sweep_engine_equivalence(max_order=16, max_cycle=24, max_kdd=6))
+    _run(verify.sweep_engine_equivalence(max_order=16))
 
 
 def test_criterion_02_lucas_cycles():
     # i(C_n) equals the transfer-matrix Lucas value for 3 <= n <= 30
-    _run(verify.sweep_lucas_cycles(3, 30))
+    _run(verify.sweep_lucas_cycles())
 
 
 def test_criterion_03_complete_bipartite():
     # i(K_{d,d}) = 2^(d+1) - 1 for d <= 6
-    _run(verify.sweep_complete_bipartite(6))
+    _run(verify.sweep_complete_bipartite())
 
 
 def test_criterion_04_zhao():
@@ -39,7 +39,7 @@ def test_criterion_04_zhao():
 def test_criterion_05_and_06_side_sums_and_cluster():
     # i(G) <= both doubled side sums, and the rigorous cluster bound,
     # on every connected bipartite corpus graph with n <= 14
-    _run(verify.sweep_side_sums(max_order=16, max_cycle=24, max_kdd=6, max_n=14))
+    _run(verify.sweep_side_sums(max_order=16))
 
 
 def test_criterion_07_olson():
@@ -49,17 +49,17 @@ def test_criterion_07_olson():
 
 def test_criterion_08_prp():
     # witnesses exist for every (M, D) with |M|, |D| <= 4 over orders <= 12
-    _run(verify.sweep_prp(max_order=12, max_m=4, max_d=4, j=2))
+    _run(verify.sweep_prp(max_order=12))
 
 
 def test_criterion_09_chain():
     # valid chains found exhaustively for |M| <= 8, |D| <= 3, k <= 2, c = 4
-    _run(verify.sweep_chain(max_order=12, max_m=8, max_d=3, max_k=2, c=4))
+    _run(verify.sweep_chain(max_order=12))
 
 
 def test_criterion_10_growth():
     # 10^4 random symmetric-generator growth instances, zero violations
-    _run(verify.sweep_growth(trials=10000, max_order=64, max_i=3, seed=0))
+    _run(verify.sweep_growth(trials=10000, max_order=64, seed=0))
 
 
 def test_criterion_11_psi_suite():
@@ -70,7 +70,7 @@ def test_criterion_11_psi_suite():
 
 def test_criterion_12_phi_suite():
     # sampled phi approximations valid for every record across 5 seeds
-    res = _run(verify.sweep_phi(verify.PSI_CORPUS, seeds=range(5)))
+    res = _run(verify.sweep_phi(verify.PSI_CORPUS))
     for key, ratio in res.details.items():
         num, den = ratio.split("/")
         assert int(num) >= 0.99 * int(den), (key, ratio)
@@ -89,14 +89,14 @@ def test_criterion_14_odd_circulant_structure():
 def test_criterion_15_gadget_ring():
     # 3-regular, edge-connectivity >= 2, maximal sets from every valid
     # interval family, the 2^(n+1) bound, and growth of log2 i - n with t
-    res = _run(verify.sweep_gadget_ring(d=3, ts=(2, 3), seed=0))
+    res = _run(verify.sweep_gadget_ring(d=3, seed=0))
     excesses = [res.details[k]["log2_i_minus_n"] for k in ("t=2", "t=3")]
     assert excesses[0] < excesses[1]
 
 
 def test_criterion_16_thinning():
     # symmetry+generation on 100/100 seeds; window and doubling on >= 90
-    res = _run(verify.sweep_thinning(seeds=100, alpha=2.0))
+    res = _run(verify.sweep_thinning(seeds=100))
     assert res.details["exact"] == 100
     assert res.details["window"] >= 90
     assert res.details["doubling"] >= 90

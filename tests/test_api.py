@@ -1,17 +1,32 @@
-"""Guard against orphan API: every public top-level function or class of the
-package must be used by the package itself, not only by tests and exports."""
+"""Guards against dead API, found by name in the syntax trees:
+- every public top-level function or class of the package is used by the
+  package itself, not only by tests and exports;
+- every dataclass field of the package is read as an attribute somewhere in
+  `src/`, `tests/` or `perfbench/`;
+- every defaulted parameter of a package function is passed, by keyword or
+  by position, by some call there or by the CLI's `verify` dispatch."""
 
 import ast
 from pathlib import Path
 
 import cayleycount
+from cayleycount.cli import RENAMES, SUITE_FLAGS
+from cayleycount.verify import ALL_SUITES
 
 PACKAGE = Path(cayleycount.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(), str(path))
             for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _code() -> list[ast.Module]:
+    """Every module of the package, the tests and the benchmark."""
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "tests").rglob("*.py"),
+             *(ROOT / "perfbench").rglob("*.py")]
+    return [ast.parse(path.read_text(), str(path)) for path in sorted(paths)]
 
 
 def orphans(trees: dict[str, ast.Module]) -> list[str]:
@@ -33,6 +48,88 @@ def orphans(trees: dict[str, ast.Module]) -> list[str]:
             and not node.name.startswith("_") and node.name not in used]
 
 
+def _name(node: ast.expr) -> str | None:
+    """The name a call or decorator refers to: `f` for `f` and for `m.f`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def unread_fields(trees: dict[str, ast.Module], code: list[ast.Module]) -> list[str]:
+    """`module.Class.field` for each field of a package dataclass whose name
+    no code reads as an attribute."""
+    read = {node.attr for tree in code for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}.{cls.name}.{stmt.target.id}"
+            for module, tree in trees.items()
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            and any(_name(dec) == "dataclass" for dec in cls.decorator_list)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
+
+
+def _functions(trees: dict[str, ast.Module]):
+    """(qualified name, callee name, def, leading parameters a call does not
+    pass) for every def of the package: top-level functions, and methods
+    with `self` or `cls` skipped; a class's `__init__` is called by the
+    class name."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{module}.{node.name}", node.name, node, 0
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        static = any(_name(dec) == "staticmethod" for dec in fn.decorator_list)
+                        callee = node.name if fn.name == "__init__" else fn.name
+                        yield f"{module}.{node.name}.{fn.name}", callee, fn, 0 if static else 1
+
+
+def unpassed_parameters(trees: dict[str, ast.Module], code: list[ast.Module],
+                        dispatch: dict[str, set[str]]) -> list[str]:
+    """`qualified.function.param` for each defaulted parameter that no call
+    of the function's name passes, by keyword or by position, and that the
+    `dispatch` keywords (callee name -> keywords) do not name either."""
+    keywords: dict[str, set[str]] = {name: set(kws) for name, kws in dispatch.items()}
+    positions: dict[str, float] = {}
+    for tree in code:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or _name(node) is None:
+                continue
+            callee = _name(node)
+            keywords.setdefault(callee, set()).update(kw.arg for kw in node.keywords)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            given = float("inf") if starred else len(node.args)
+            positions[callee] = max(positions.get(callee, 0), given)
+    out = []
+    for qualname, callee, fn, skip in _functions(trees):
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args]
+        defaulted = list(enumerate(positional))[len(positional) - len(args.defaults):]
+        defaulted += [(None, a) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for index, arg in defaulted:
+            by_position = index is not None and positions.get(callee, 0) > index - skip
+            if not by_position and arg.arg not in keywords.get(callee, ()):
+                out.append(f"{qualname}.{arg.arg}")
+    return out
+
+
+def cli_dispatch() -> dict[str, set[str]]:
+    """The keywords `cayleycount verify` passes to each sweep: its flags
+    under their RENAMES, and `instances` for the --n/--d pair of psi and phi."""
+    out = {}
+    for suite, takes in SUITE_FLAGS.items():
+        kws = {RENAMES.get((suite, flag), flag) for flag in takes}
+        out[ALL_SUITES[suite].__name__] = {"instances"} if suite in ("psi", "phi") else kws
+    return out
+
+
 def test_every_public_name_is_used_by_the_package():
     assert orphans(_trees()) == []
 
@@ -41,3 +138,34 @@ def test_orphan_scan_finds_an_unused_function():
     trees = _trees()
     trees["extra"] = ast.parse("def unused():\n    pass\n\n\ndef _private():\n    pass\n")
     assert orphans(trees) == ["extra.unused"]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(_trees(), _code()) == []
+
+
+def test_field_scan_finds_an_unread_field():
+    trees = _trees()
+    trees["extra"] = ast.parse(
+        "@dataclass\nclass Extra:\n    unread_zz: int\n    read_zz: int = 0\n\n\n"
+        "class Plain:\n    unread_yy: int\n")
+    code = _code() + [ast.parse("def f(x):\n    x.unread_zz = 1\n    return x.read_zz\n")]
+    assert unread_fields(trees, code) == ["extra.Extra.unread_zz"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_parameters(_trees(), _code(), cli_dispatch()) == []
+
+
+def test_parameter_scan_finds_an_unpassed_parameter():
+    trees = _trees()
+    trees["extra"] = ast.parse(
+        "def extra_zz(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n\n"
+        "class ExtraZz:\n    def __init__(self, f=5, g=6):\n        pass\n\n"
+        "    def method_zz(self, h=7):\n        pass\n")
+    code = _code() + [ast.parse(
+        "extra_zz(0, 1, e=4)\nExtraZz(5)\nobj.method_zz()\nm.extra_zz(0, d=3)\n")]
+    assert unpassed_parameters(trees, code, cli_dispatch()) == [
+        "extra.extra_zz.c", "extra.ExtraZz.__init__.g", "extra.ExtraZz.method_zz.h"]
+    assert unpassed_parameters(trees, code, {**cli_dispatch(), "method_zz": {"h"}}) == [
+        "extra.extra_zz.c", "extra.ExtraZz.__init__.g"]

@@ -2,7 +2,7 @@ import inspect
 import json
 import os
 
-from cayleycount import verify
+from cayleycount import counting, verify
 from cayleycount.cli import RENAMES, SUITE_FLAGS, main
 
 
@@ -232,6 +232,19 @@ def test_oversized_inputs_hit_the_size_budget(tmp_path, capsys):
         code, _, err = run_cli(["count", str(gpath)], capsys)
         assert code == 2, name
         assert "budget" in err, name
-    code, _, err = run_cli(["build", "--group", "Z100000000", "--gens", "1,99999999"], capsys)
+    # a ring of 2t(4d - 2) vertices, and a group order checked before factoring
+    for argv in (["build", "--group", "Z100000000", "--gens", "1,99999999"],
+                 ["build", "gadget-ring", "--d", "3", "--t", "100000000"],
+                 ["build", "--group", "Z2305843009213693951", "--gens", "1,2305843009213693950"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert "budget" in err, argv
+
+
+def test_enumeration_state_budget(tmp_path, capsys, monkeypatch):
+    gpath = str(tmp_path / "g.json")
+    run_cli(["build", "odd-circulant", "--n", "8", "--d", "3", "-o", gpath], capsys)
+    monkeypatch.setattr(counting, "ENUM_STATE_BUDGET", 4)
+    code, out, err = run_cli(["table", gpath], capsys)
     assert code == 2
-    assert "budget" in err
+    assert "budget" in err and out == ""

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cayleycount import constructions
 from cayleycount.constructions import (
     GadgetRingConfig,
     OddCirculantConfig,
@@ -15,7 +16,7 @@ from cayleycount.constructions import (
     odd_circulant_structure_check,
 )
 from cayleycount.counting import count_independent_sets
-from cayleycount.errors import InvalidInputError, MalformedIntervalsError
+from cayleycount.errors import GadgetSearchError, InvalidInputError, MalformedIntervalsError
 from cayleycount.graphs import bits_list, edge_connectivity, mask_of, vertex_connectivity
 from cayleycount.groups import make_group
 
@@ -43,6 +44,14 @@ def test_gadget_rejects_d2():
 
 def test_gadget_deterministic_per_seed():
     assert build_gadget(3, seed=5).adj == build_gadget(3, seed=5).adj
+
+
+def test_gadget_search_gives_up_after_its_attempts(monkeypatch):
+    # with one draw, seed 0's first configuration is rejected and seed 1's kept
+    monkeypatch.setattr(constructions, "GADGET_ATTEMPTS", 1)
+    with pytest.raises(GadgetSearchError):
+        build_gadget(3, seed=0)
+    assert build_gadget(3, seed=1).vcount == 10
 
 
 def test_ring_shape():

@@ -148,10 +148,10 @@ def test_check_phi_basics():
 def test_phi_sampler_degenerate_small_d():
     g = cycle_graph(8)
     rec = closure(g, mask_of([0, 2]))
-    approx, rep = phi_approx_sample(g, rec, rec.boundary, seed=0)
+    f_mask, rep = phi_approx_sample(g, rec, rec.boundary, seed=0)
     assert rep.degenerate
-    assert approx.f_mask == rec.nbhd
-    assert check_phi(g, rec, approx.f_mask)
+    assert f_mask == rec.nbhd
+    assert check_phi(g, rec, f_mask)
 
 
 def test_phi_sampler_preconditions():
@@ -169,14 +169,14 @@ def test_phi_sampler_nondegenerate():
     for seed_mask in ([0, 2], [0, 2, 4], [0, 2, 4, 6, 8]):
         rec = closure(g, mask_of(seed_mask))
         assert rec.small
-        approx, rep = phi_approx_sample(g, rec, rec.boundary, seed=1)
+        f_mask, rep = phi_approx_sample(g, rec, rec.boundary, seed=1)
         assert not rep.degenerate
         assert rep.retries <= 100
-        assert check_phi(g, rec, approx.f_mask)
+        assert check_phi(g, rec, f_mask)
         # determinism: same seed gives the same certificate
-        approx2, rep2 = phi_approx_sample(g, rec, rec.boundary, seed=1)
-        assert approx2.f_mask == approx.f_mask and rep2.retries == rep.retries
-        psi = psi_approx(g, rec, approx.f_mask)
+        f_mask2, rep2 = phi_approx_sample(g, rec, rec.boundary, seed=1)
+        assert f_mask2 == f_mask and rep2.retries == rep.retries
+        psi = psi_approx(g, rec, f_mask)
         prep = check_psi(g, rec, psi)
         assert prep.valid
         assert prep.size_bound_ok
@@ -282,7 +282,7 @@ def test_phi_retry_cap_reported():
     g = big_band_graph()
     rec = closure(g, mask_of([0, 2]))
     cfg = PhiSampleConfig(max_retries=100, size_coeff=50.0)
-    approx, rep = phi_approx_sample(g, rec, rec.boundary, seed=0, cfg=cfg)
+    f_mask, rep = phi_approx_sample(g, rec, rec.boundary, seed=0, cfg=cfg)
     assert rep.retries <= cfg.max_retries
     assert rep.properties is not None and all(rep.properties)
 
@@ -299,8 +299,8 @@ def test_phi_sampler_with_full_container():
     # C = Y is the loosest valid container; the sampler must still succeed
     g = build_odd_circulant(OddCirculantConfig(8, 3))
     for rec in enumerate_small_2linked_closed(g, "X"):
-        approx, _ = phi_approx_sample(g, rec, g.parts[1], seed=2)
-        assert check_phi(g, rec, approx.f_mask)
+        f_mask, _ = phi_approx_sample(g, rec, g.parts[1], seed=2)
+        assert check_phi(g, rec, f_mask)
 
 
 def test_phi_sampler_full_container_beyond_doubling_regime():
@@ -317,9 +317,9 @@ def test_phi_sampler_full_container_beyond_doubling_regime():
         phi_approx_sample(big, rec, big.parts[1], seed=2,
                           cfg=PhiSampleConfig(max_retries=10))
     loose = PhiSampleConfig(edge_coeff=2000.0)
-    approx, rep = phi_approx_sample(big, rec, big.parts[1], seed=2, cfg=loose)
+    f_mask, rep = phi_approx_sample(big, rec, big.parts[1], seed=2, cfg=loose)
     assert not rep.degenerate
-    assert check_phi(big, rec, approx.f_mask)
+    assert check_phi(big, rec, f_mask)
 
 
 def test_container_pipeline_on_y_side_records():
@@ -327,7 +327,7 @@ def test_container_pipeline_on_y_side_records():
     for rec in enumerate_small_2linked_closed(g, "Y"):
         bc = boundary_container(g, rec)
         assert rec.boundary & ~bc.c_mask == 0
-        approx, _ = phi_approx_sample(g, rec, bc.c_mask, seed=0)
-        assert check_phi(g, rec, approx.f_mask)
-        out = psi_approx(g, rec, approx.f_mask)
+        f_mask, _ = phi_approx_sample(g, rec, bc.c_mask, seed=0)
+        assert check_phi(g, rec, f_mask)
+        out = psi_approx(g, rec, f_mask)
         assert check_psi(g, rec, out).valid

@@ -131,7 +131,8 @@ def test_olson_shift_invariance():
 
 def test_chain_examples():
     z64 = make_group([64])
-    wit = chain_witness_search(z64, mask_of({0, 1, 2, 3, 4}), mask_of({0, 1, 63}), 2, 4)
+    wit = chain_witness_search(z64, mask_of({0, 1, 2, 3, 4}), mask_of({0, 1, 63}), 2, 4,
+                               mode="exhaustive")
     assert wit.success and wit.mode == "exhaustive"
     assert len(wit.chain) == 3
     assert wit.chain[0] == mask_of({0, 1, 2, 3, 4})
@@ -140,7 +141,7 @@ def test_chain_examples():
     for level, lhs, rhs in wit.bounds:
         assert lhs <= rhs
     # singleton generator: t = 0, the chain is M itself at every level
-    wit = chain_witness_search(z64, mask_of({0, 5, 11}), mask_of({7}), 2, 4)
+    wit = chain_witness_search(z64, mask_of({0, 5, 11}), mask_of({7}), 2, 4, mode="exhaustive")
     assert wit.success
     assert all(s == wit.chain[0] for s in wit.chain)
     assert wit.t == 0
@@ -153,7 +154,9 @@ def test_chain_greedy_mode():
     assert wit.mode == "greedy"
     assert wit.success
     with pytest.raises(InvalidInputError):
-        chain_witness_search(z64, mask_of({0}), mask_of({1}), 2, c=2)
+        chain_witness_search(z64, mask_of({0}), mask_of({1}), 2, c=2, mode="greedy")
+    with pytest.raises(InvalidInputError):
+        chain_witness_search(z64, mask_of({0}), mask_of({1}), 2, 4, mode="auto")
 
 
 def test_minimal_generating_subset():
