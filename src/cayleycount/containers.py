@@ -27,10 +27,10 @@ from .sumsets import chain_witness_search
 
 
 def regular_degree(graph: Graph) -> int:
-    degs = {graph.degree(v) for v in range(graph.vcount)}
+    degs = graph.degrees()
     if len(degs) != 1:
         raise InvalidInputError("container operations need a regular graph")
-    return degs.pop()
+    return next(iter(degs))
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,13 @@ def greedy_cover(universe: int, candidates: Sequence[int]) -> CoverResult:
     if universe == 0:
         return CoverResult([], 0, 0.0)
     restricted = [c & universe for c in candidates]
-    cover_count: dict[int, int] = {}
-    for c in restricted:
-        for v in iter_bits(c):
-            cover_count[v] = cover_count.get(v, 0) + 1
+    a_min = len(restricted)
     for v in iter_bits(universe):
-        if v not in cover_count:
+        bit = 1 << v
+        multiplicity = sum(1 for c in restricted if c & bit)
+        if not multiplicity:
             raise UncoverableError(f"universe element {v} lies in no candidate set")
-    a_min = min(cover_count[v] for v in iter_bits(universe))
+        a_min = min(a_min, multiplicity)
     b_max = max(c.bit_count() for c in restricted)
     chosen: list[int] = []
     covered = 0
@@ -203,10 +202,7 @@ def split_relative(state: ContractionState, rec: ClosedSetRecord):
 @dataclass
 class PhiSampleConfig:
     max_retries: int = 100
-    size_coeff: float = 50.0       # |Q0| threshold coefficient, times t / log^2 d
     edge_coeff: float = 50.0       # boundary-edge threshold, times t / log^2 d
-    miss_coeff: float = 5.0        # uncovered super count, times t / d^7
-    residual_coeff: float = 5.0    # uncovered heavy vertices, times t / d^8
 
 
 @dataclass
@@ -281,10 +277,10 @@ def phi_approx_sample(graph: CayleyGraph, rec: ClosedSetRecord, c_mask: int,
     g_phi = graph.heavy(rec.nbhd, rec.closure, params.phi)
     pool = bits_list(c_mask & rec.nbhd)
     thresholds = (
-        cfg.size_coeff * t / log2_d**2,
+        50.0 * t / log2_d**2,           # |Q0|
         cfg.edge_coeff * t / log2_d**2,
-        cfg.miss_coeff * t / d**7,
-        cfg.residual_coeff * t / d**8,
+        5.0 * t / d**7,                 # uncovered supers
+        5.0 * t / d**8,                 # uncovered heavy vertices
     )
 
     last_props = None
@@ -459,8 +455,10 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryCont
     core_rec = closure(graph, chain.chain[-1], x_side)
     core, g_core = core_rec.closure, core_rec.nbhd
 
-    a0 = graph.nbhd_iter(core, 2) & ~core
-    g0 = graph.nbhd_iter(core, 3) & ~g_core
+    # N(core) = G_core, since a closure has the neighborhood of what it closes
+    n2_core = graph.nbhd(g_core)
+    a0 = n2_core & ~core
+    g0 = graph.nbhd(n2_core) & ~g_core
     heavy = graph.heavy(core_rec.boundary, a0, d / 2)
     light = core_rec.boundary & ~heavy
     z2 = neighborhood_cover(graph, heavy, a0)
@@ -471,8 +469,9 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryCont
         chain_out = chain_witness_search(spec, outside, d_mask,
                                          k=2, c=c * math.log2(d), mode="greedy")
         m_prime = chain_out.chain[-1]
-    a2 = graph.nbhd_iter(m_prime, 3) & core
-    reachable = light & graph.nbhd_iter(m_prime, 2)
+    n2_m = graph.nbhd_iter(m_prime, 2)
+    a2 = graph.nbhd(n2_m) & core
+    reachable = light & n2_m
     z3 = neighborhood_cover(graph, reachable, a2)
 
     residual = graph.nbhd_iter((outside & ~m_prime) & g0, 2)   # N^2((G_c \ M') & G0)

@@ -16,7 +16,7 @@ from math import exp
 from typing import Iterator
 
 from .errors import InstanceTooLargeError, InvalidInputError
-from .graphs import ClosedSetRecord, Graph, bits_list, closure, is_two_linked, iter_bits
+from .graphs import ClosedSetRecord, Graph, bits_list, iter_bits, mask_of
 
 DEFAULT_BRANCHING_BUDGET = 64
 DEFAULT_BRUTEFORCE_BUDGET = 26
@@ -168,59 +168,89 @@ def enumerate_small_2linked_closed(graph: Graph, side: str = "X") -> Iterator[Cl
     dedup keeps the walk output-sensitive, so structured graphs far beyond
     exhaustive-subset range still enumerate quickly.  More than
     ENUM_STATE_BUDGET states raise InstanceTooLargeError.
+
+    Each child grows from its parent's G = N(state): the closure of
+    state + v is the state plus the side vertices outside it whose
+    neighborhood lies in G | N(v), and each of those has a neighbor in
+    N(v) \\ G.  The empty root is not closed when a side vertex is isolated
+    (an isolated vertex lies in every closure), so its children are closed
+    from scratch.
     """
     if graph.parts is None:
         raise InvalidInputError("enumeration requires a bipartite graph")
     side_mask = graph.parts[0] if side == "X" else graph.parts[1]
     n = side_mask.bit_count()
+    adj = graph.adj
     seen: set[int] = set()
     queue = [0]     # the empty state: its children are the single-vertex closures
     for state in queue:
         if len(seen) > ENUM_STATE_BUDGET:
             raise InstanceTooLargeError("closed-set enumeration exceeded state budget")
         if state:
-            yield closure(graph, state, side_mask)
-            grow = graph.nbhd(graph.nbhd(state)) & side_mask & ~state
+            # a state is closed, so its record's closure is the state itself
+            g = graph.nbhd(state)
+            outside = side_mask & ~state
+            yield ClosedSetRecord(state, g, graph.heavy(g, outside, 1), side_mask, n)
+            children = (state | graph.interior(outside & graph.nbhd(adj[v] & ~g), g | adj[v])
+                        for v in iter_bits(graph.nbhd(g) & outside))
         else:
-            grow = side_mask
-        for v in iter_bits(grow):
-            child = graph.interior(side_mask, graph.nbhd(state | (1 << v)))
+            children = (graph.interior(side_mask, adj[v]) for v in iter_bits(side_mask))
+        for child in children:
             if 2 * child.bit_count() > n or child in seen:
                 continue
             seen.add(child)
             queue.append(child)
 
 
+def _or_table(rows: list[int]) -> list[int]:
+    """The union of rows over every subset of them, indexed by the subset's
+    bitmask."""
+    table = [0]
+    for row in rows:
+        table += [x | row for x in table]
+    return table
+
+
 def count_closure_preimages(graph: Graph, rec: ClosedSetRecord,
                             require_two_linked: bool = True) -> int:
     """Number of subsets A of the closure with N(A) = G (optionally also
-    2-linked); these are exactly the sets whose closure is this record."""
+    2-linked); these are exactly the sets whose closure is this record.
+
+    N(A) is the union of two half-table entries, one per half of the
+    closure's vertices.  2-linkage is a breadth-first search on the
+    closure's square graph (two vertices adjacent when they share a
+    neighbor), whose set neighborhoods come from half tables the same way.
+    """
     verts = bits_list(rec.closure)
     a = len(verts)
     if a > 24:
         raise InstanceTooLargeError("closure too large for subset expansion")
-    local_adj = [graph.adj[v] for v in verts]
+    rows = [graph.adj[v] for v in verts]
+    h = a // 2
+    low_mask = (1 << h) - 1
+    low, high = _or_table(rows[:h]), _or_table(rows[h:])
+    if require_two_linked:
+        square = [mask_of(j for j, other in enumerate(rows) if j != i and row & other)
+                  for i, row in enumerate(rows)]
+        sq_low, sq_high = _or_table(square[:h]), _or_table(square[h:])
     target = rec.nbhd
     count = 0
-    for sub in range(1, 1 << a):
-        g = 0
-        s = sub
-        while s:
-            lsb = s & -s
-            g |= local_adj[lsb.bit_length() - 1]
-            s ^= lsb
-        if g != target:
-            continue
-        if require_two_linked:
-            mask = 0
-            s = sub
-            while s:
-                lsb = s & -s
-                mask |= 1 << verts[lsb.bit_length() - 1]
-                s ^= lsb
-            if not is_two_linked(graph, mask):
+    for hi, g_high in enumerate(high):
+        base = hi << h
+        for lo, g_low in enumerate(low):
+            if g_low | g_high != target:
                 continue
-        count += 1
+            sub = base | lo
+            if not sub:
+                continue
+            if require_two_linked:
+                comp = frontier = sub & -sub
+                while frontier:
+                    frontier = (sq_low[frontier & low_mask] | sq_high[frontier >> h]) & sub & ~comp
+                    comp |= frontier
+                if comp != sub:
+                    continue
+            count += 1
     return count
 
 

@@ -25,14 +25,18 @@ from .groups import GeneratorSet, GroupSpec, bits_list, iter_bits, mask_of
 
 class Graph:
     """Undirected graph over vertex ids 0..vcount-1 with bitmask adjacency,
-    optionally with a bipartition `parts` into two independent sets."""
+    optionally with a bipartition `parts` into two independent sets.
 
-    __slots__ = ("vcount", "adj", "parts")
+    A graph never changes after construction, so its whole-graph facts
+    (connectivity and the degree set) are computed on first use and kept."""
+
+    __slots__ = ("vcount", "adj", "parts", "_facts")
 
     def __init__(self, adj: Sequence[int], parts: Optional[tuple[int, int]] = None):
         self.vcount = len(adj)
         self.adj = tuple(adj)
         self.parts = parts
+        self._facts: Optional[tuple[bool, frozenset[int]]] = None
         full = (1 << self.vcount) - 1
         for v, row in enumerate(self.adj):
             if row >> self.vcount:
@@ -88,18 +92,23 @@ class Graph:
         """The vertices of `within` whose whole neighborhood lies in `region`."""
         out = 0
         adj = self.adj
-        for v in iter_bits(within):
-            if adj[v] & ~region == 0:
-                out |= 1 << v
+        outside = ~region
+        while within:
+            lsb = within & -within
+            if not adj[lsb.bit_length() - 1] & outside:
+                out |= lsb
+            within ^= lsb
         return out
 
     def heavy(self, within: int, region: int, k: float) -> int:
         """The vertices of `within` with at least k neighbors in `region`."""
         out = 0
         adj = self.adj
-        for v in iter_bits(within):
-            if (adj[v] & region).bit_count() >= k:
-                out |= 1 << v
+        while within:
+            lsb = within & -within
+            if (adj[lsb.bit_length() - 1] & region).bit_count() >= k:
+                out |= lsb
+            within ^= lsb
         return out
 
     def reach(self, seed: int, within: int, hops: int = 1) -> int:
@@ -135,8 +144,19 @@ class Graph:
                 return part
         raise InvalidInputError("set straddles both sides of the bipartition")
 
+    def _whole(self) -> tuple[bool, frozenset[int]]:
+        """(connected, the set of vertex degrees), computed once."""
+        if self._facts is None:
+            full = self.full_mask()
+            self._facts = (self.vcount > 0 and self.reach(1, full) == full,
+                           frozenset(row.bit_count() for row in self.adj))
+        return self._facts
+
     def is_connected(self) -> bool:
-        return self.vcount > 0 and self.reach(1, self.full_mask()) == self.full_mask()
+        return self._whole()[0]
+
+    def degrees(self) -> frozenset[int]:
+        return self._whole()[1]
 
 
 class CayleyGraph(Graph):
@@ -158,6 +178,7 @@ class CayleyGraph(Graph):
         # Graph's input checks hold by construction: D is validated symmetric
         # and 0-free, and the parts are the kernel and coset of a map to Z2
         self.vcount, self.adj, self.parts = n, tuple(adj), groups.bipartition(group, gens)
+        self._facts = None
         self.group = group
         self.gens = gens
         d = gens.d
@@ -218,10 +239,6 @@ def closure(graph: Graph, a_mask: int, side: Optional[int] = None) -> ClosedSetR
     return ClosedSetRecord(closed, g, boundary, side, side.bit_count())
 
 
-def is_two_linked(graph: Graph, a_mask: int) -> bool:
-    return a_mask != 0 and graph.reach(a_mask & -a_mask, a_mask, 2) == a_mask
-
-
 # -- tensor double cover -------------------------------------------------------
 
 
@@ -269,9 +286,9 @@ def edge_connectivity(graph: Graph) -> int:
         return 0
     # every global min cut separates vertex 0 from something
     best = min(graph.degree(v) for v in range(n))
+    base = {u: dict.fromkeys(iter_bits(graph.adj[u]), 1) for u in range(n)}
     for t in range(1, n):
-        arcs = {u: dict.fromkeys(iter_bits(graph.adj[u]), 1) for u in range(n)}
-        best = _max_flow(arcs, 0, t, best)
+        best = _max_flow({u: a.copy() for u, a in base.items()}, 0, t, best)
     return best
 
 
@@ -281,15 +298,15 @@ def vertex_connectivity(graph: Graph) -> int:
     if n < 2 or not graph.is_connected():
         return 0
     min_deg = best = min(graph.degree(v) for v in range(n))
+    # v is split into 2v -> 2v + 1 of capacity 1; edges never bind
+    base = {2 * v: {2 * v + 1: 1} for v in range(n)}
+    for v in range(n):
+        base[2 * v + 1] = dict.fromkeys((2 * u for u in iter_bits(graph.adj[v])), n)
     # kappa <= min_deg (K_n has no separator and kappa = n - 1 = min_deg), so
     # a minimum separator misses one of any min_deg + 1 sources
     for s in range(min_deg + 1):
         for t in iter_bits(graph.full_mask() & ~graph.adj[s] & ~(1 << s)):
-            # v is split into 2v -> 2v + 1 of capacity 1; edges never bind
-            arcs = {2 * v: {2 * v + 1: 1} for v in range(n)}
-            for v in range(n):
-                arcs[2 * v + 1] = dict.fromkeys((2 * u for u in iter_bits(graph.adj[v])), n)
-            best = _max_flow(arcs, 2 * s + 1, 2 * t, best)
+            best = _max_flow({u: a.copy() for u, a in base.items()}, 2 * s + 1, 2 * t, best)
     return best
 
 

@@ -4,7 +4,9 @@
 - every dataclass field of the package is read as an attribute somewhere in
   `src/`, `tests/` or `perfbench/`;
 - every defaulted parameter of a package function is passed, by keyword or
-  by position, by some call there or by the CLI's `verify` dispatch."""
+  by position, by some call there or by the CLI's `verify` dispatch;
+- so is every dataclass field with a plain default (a parameter of the
+  generated `__init__`), unless some code assigns it as an attribute."""
 
 import ast
 from pathlib import Path
@@ -91,15 +93,40 @@ def _functions(trees: dict[str, ast.Module]):
                         yield f"{module}.{node.name}.{fn.name}", callee, fn, 0 if static else 1
 
 
+def _defaulted_fields(trees: dict[str, ast.Module]):
+    """(qualified name, class name, position, field) for every field of a
+    package dataclass with a plain default, not a `default_factory`; the
+    position is the field's place in the generated `__init__`."""
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(_name(dec) == "dataclass" for dec in cls.decorator_list)):
+                continue
+            fields = [stmt for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            for index, stmt in enumerate(fields):
+                value = stmt.value
+                if value is None or (isinstance(value, ast.Call) and _name(value) == "field"
+                                     and all(kw.arg != "default" for kw in value.keywords)):
+                    continue
+                name = stmt.target.id
+                yield f"{module}.{cls.name}.{name}", cls.name, index, name
+
+
 def unpassed_parameters(trees: dict[str, ast.Module], code: list[ast.Module],
                         dispatch: dict[str, set[str]]) -> list[str]:
     """`qualified.function.param` for each defaulted parameter that no call
     of the function's name passes, by keyword or by position, and that the
-    `dispatch` keywords (callee name -> keywords) do not name either."""
+    `dispatch` keywords (callee name -> keywords) do not name either; then
+    `module.Class.field` for each defaulted dataclass field that no call of
+    the class passes and no code assigns as an attribute."""
     keywords: dict[str, set[str]] = {name: set(kws) for name, kws in dispatch.items()}
     positions: dict[str, float] = {}
+    assigned: set[str] = set()
     for tree in code:
         for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                assigned.add(node.attr)
             if not isinstance(node, ast.Call) or _name(node) is None:
                 continue
             callee = _name(node)
@@ -117,6 +144,10 @@ def unpassed_parameters(trees: dict[str, ast.Module], code: list[ast.Module],
             by_position = index is not None and positions.get(callee, 0) > index - skip
             if not by_position and arg.arg not in keywords.get(callee, ()):
                 out.append(f"{qualname}.{arg.arg}")
+    for qualname, cls, index, name in _defaulted_fields(trees):
+        passed = positions.get(cls, 0) > index or name in keywords.get(cls, ())
+        if not passed and name not in assigned:
+            out.append(qualname)
     return out
 
 
@@ -162,10 +193,15 @@ def test_parameter_scan_finds_an_unpassed_parameter():
     trees["extra"] = ast.parse(
         "def extra_zz(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n\n"
         "class ExtraZz:\n    def __init__(self, f=5, g=6):\n        pass\n\n"
-        "    def method_zz(self, h=7):\n        pass\n")
+        "    def method_zz(self, h=7):\n        pass\n\n\n"
+        "@dataclass\nclass ExtraCfgZz:\n    needed_zz: int\n    by_position_zz: int = 1\n"
+        "    by_keyword_zz: int = 2\n    unset_zz: float = 3.0\n    assigned_zz: float = 4.0\n"
+        "    made_zz: list = field(default_factory=list)\n")
     code = _code() + [ast.parse(
-        "extra_zz(0, 1, e=4)\nExtraZz(5)\nobj.method_zz()\nm.extra_zz(0, d=3)\n")]
+        "extra_zz(0, 1, e=4)\nExtraZz(5)\nobj.method_zz()\nm.extra_zz(0, d=3)\n"
+        "ExtraCfgZz(0, 1)\nExtraCfgZz(0, by_keyword_zz=2).assigned_zz = 5.0\n")]
     assert unpassed_parameters(trees, code, cli_dispatch()) == [
-        "extra.extra_zz.c", "extra.ExtraZz.__init__.g", "extra.ExtraZz.method_zz.h"]
+        "extra.extra_zz.c", "extra.ExtraZz.__init__.g", "extra.ExtraZz.method_zz.h",
+        "extra.ExtraCfgZz.unset_zz"]
     assert unpassed_parameters(trees, code, {**cli_dispatch(), "method_zz": {"h"}}) == [
-        "extra.extra_zz.c", "extra.ExtraZz.__init__.g"]
+        "extra.extra_zz.c", "extra.ExtraZz.__init__.g", "extra.ExtraCfgZz.unset_zz"]

@@ -6,10 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleycount import containers
 from cayleycount.containers import (
     ApproxParams,
+    CoverResult,
     PhiSampleConfig,
     boundary_container,
     check_phi,
@@ -18,12 +20,13 @@ from cayleycount.containers import (
     greedy_cover,
     phi_approx_sample,
     psi_approx,
+    regular_degree,
     split_relative,
 )
 from cayleycount.counting import enumerate_small_2linked_closed
-from cayleycount.errors import InvalidInputError, UncoverableError
-from cayleycount.graphs import bits_list, build_cayley, closure, mask_of
-from cayleycount.groups import GeneratorSet, make_group, symmetrize
+from cayleycount.errors import InvalidInputError, InvariantViolation, UncoverableError
+from cayleycount.graphs import Graph, bits_list, build_cayley, closure, iter_bits, mask_of
+from cayleycount.groups import GeneratorSet, coords_to_id, make_group, symmetrize
 from cayleycount.sumsets import chain_witness_search
 from cayleycount.constructions import OddCirculantConfig, build_odd_circulant
 from cayleycount.verify import cycle_graph
@@ -84,6 +87,78 @@ def test_greedy_cover_bound_random():
                 sets[i] |= 1 << v
         res = greedy_cover((1 << na) - 1, sets)  # bound checked internally
         assert res.chosen_mask == (1 << na) - 1
+
+
+def _greedy_cover_dict_counts(universe, candidates):
+    """greedy_cover with its multiplicities counted in a dict over every bit
+    of every candidate."""
+    if universe == 0:
+        return CoverResult([], 0, 0.0)
+    restricted = [c & universe for c in candidates]
+    cover_count = {}
+    for c in restricted:
+        for v in iter_bits(c):
+            cover_count[v] = cover_count.get(v, 0) + 1
+    for v in iter_bits(universe):
+        if v not in cover_count:
+            raise UncoverableError(f"universe element {v} lies in no candidate set")
+    a_min = min(cover_count[v] for v in iter_bits(universe))
+    b_max = max(c.bit_count() for c in restricted)
+    chosen, covered = [], 0
+    while covered != universe:
+        best_i, best_gain = -1, 0
+        for i, c in enumerate(restricted):
+            gain = (c & ~covered).bit_count()
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        chosen.append(best_i)
+        covered |= restricted[best_i]
+    bound = (len(candidates) / a_min) * (1 + math.log(b_max))
+    if len(chosen) > bound:
+        raise InvariantViolation("greedy exceeded the Lovász-Stein guarantee")
+    return CoverResult(chosen, covered, bound)
+
+
+def _outcome(fn, universe, candidates):
+    try:
+        return fn(universe, candidates)
+    except (UncoverableError, InvariantViolation) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 12 - 1), st.lists(st.integers(0, 2 ** 14 - 1), max_size=8))
+def test_greedy_cover_matches_dict_counts(universe, candidates):
+    assert _outcome(greedy_cover, universe, candidates) == \
+        _outcome(_greedy_cover_dict_counts, universe, candidates)
+
+
+def test_whole_graph_facts_are_checked_on_every_call():
+    spec = make_group([2, 4])
+    # two 4-cycles: bipartite, regular and disconnected
+    split = build_cayley(spec, GeneratorSet(spec, {coords_to_id(spec, (0, 1)),
+                                                   coords_to_id(spec, (0, 3))}))
+    rec = closure(split, 1, split.parts[0])
+    for _ in range(3):
+        with pytest.raises(InvalidInputError):
+            boundary_container(split, rec)
+        with pytest.raises(InvalidInputError):
+            phi_approx_sample(split, rec, rec.boundary)
+    path = Graph([0b10, 0b101, 0b10], parts=(0b101, 0b10))     # degrees 1, 2, 1
+    path_rec = closure(path, 1)
+    for _ in range(3):
+        with pytest.raises(InvalidInputError):
+            regular_degree(path)
+        with pytest.raises(InvalidInputError):
+            check_phi(path, path_rec, path_rec.nbhd)
+    # answers belong to one graph: a connected graph of the same order
+    # built and asked in between changes nothing
+    cycle = cycle_graph(8)
+    assert not split.is_connected() and cycle.is_connected()
+    assert regular_degree(cycle) == 2 and regular_degree(split) == 2
+    assert not split.is_connected() and cycle.is_connected()
+    assert path.is_connected() and path.degrees() == {1, 2}
+    assert cycle.degrees() == {2}
 
 
 # With ln patched to -1 the Lovász-Stein bound (|B|/a)(1 + ln b) is 0, so
@@ -281,7 +356,7 @@ def test_split_relative_classifies_supers():
 def test_phi_retry_cap_reported():
     g = big_band_graph()
     rec = closure(g, mask_of([0, 2]))
-    cfg = PhiSampleConfig(max_retries=100, size_coeff=50.0)
+    cfg = PhiSampleConfig(max_retries=100)
     f_mask, rep = phi_approx_sample(g, rec, rec.boundary, seed=0, cfg=cfg)
     assert rep.retries <= cfg.max_retries
     assert rep.properties is not None and all(rep.properties)

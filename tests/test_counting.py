@@ -1,7 +1,9 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from cayleycount.counting import (
     lucas_number,
 )
 from cayleycount.errors import InstanceTooLargeError
-from cayleycount.graphs import Graph, bits_list, closure, mask_of
+from cayleycount.graphs import Graph, bits_list, closure, iter_bits, mask_of
 from cayleycount.groups import GeneratorSet, make_group
 from cayleycount.graphs import build_cayley
 from cayleycount.verify import complete_bipartite_graph, cycle_graph
@@ -184,6 +186,96 @@ def test_preimage_counts():
     assert count_closure_preimages(g, rec) == 1
     rec = closure(g, mask_of([0]))
     assert count_closure_preimages(g, rec) == 1
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """A random bipartite graph on sides X = 0..nx-1 and Y = nx..; each side
+    may end in vertices without neighbors, which lie in every closure."""
+    nx_edged, ny_edged = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    nx_, ny = nx_edged + draw(st.integers(0, 2)), ny_edged + draw(st.integers(0, 2))
+    edges = draw(st.sets(st.tuples(st.integers(0, nx_edged - 1), st.integers(0, ny_edged - 1))))
+    adj = [0] * (nx_ + ny)
+    for x, y in edges:
+        adj[x] |= 1 << (nx_ + y)
+        adj[nx_ + y] |= 1 << x
+    x_mask = (1 << nx_) - 1
+    return Graph(adj, parts=(x_mask, ((1 << (nx_ + ny)) - 1) & ~x_mask))
+
+
+def _enumerate_from_scratch(graph, side):
+    """The walk of enumerate_small_2linked_closed with every child closed
+    from scratch, as [state + v] = interior(side, N(state + v)), and every
+    record built by closure()."""
+    side_mask = graph.parts[0] if side == "X" else graph.parts[1]
+    n = side_mask.bit_count()
+    seen, queue, out = set(), [0], []
+    for state in queue:
+        if state:
+            out.append(closure(graph, state, side_mask))
+            grow = graph.nbhd(graph.nbhd(state)) & side_mask & ~state
+        else:
+            grow = side_mask
+        for v in iter_bits(grow):
+            child = graph.interior(side_mask, graph.nbhd(state | (1 << v)))
+            if 2 * child.bit_count() > n or child in seen:
+                continue
+            seen.add(child)
+            queue.append(child)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(bipartite_graphs(), st.sampled_from("XY"))
+def test_incremental_enumeration_matches_from_scratch_walk(graph, side):
+    assert list(enumerate_small_2linked_closed(graph, side)) == _enumerate_from_scratch(graph, side)
+
+
+def _preimages_by_subset_loop(graph, rec, require_two_linked):
+    """Every nonempty subset of the closure, its N(A) computed directly and
+    its 2-linkage read from the networkx square graph on it."""
+    nxg = nx.Graph(graph.edges())
+    nxg.add_nodes_from(range(graph.vcount))
+    verts = bits_list(rec.closure)
+    count = 0
+    for k in range(1, len(verts) + 1):
+        for sub in combinations(verts, k):
+            if graph.nbhd(mask_of(sub)) != rec.nbhd:
+                continue
+            if require_two_linked:
+                square = nx.Graph()
+                square.add_nodes_from(sub)
+                for v in nxg:
+                    square.add_edges_from(combinations(sorted(set(nxg[v]) & set(sub)), 2))
+                if not nx.is_connected(square):
+                    continue
+            count += 1
+    return count
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_graphs(), st.sampled_from("XY"), st.booleans(), st.data())
+def test_half_table_preimages_match_subset_loop(graph, side, require_two_linked, data):
+    side_mask = graph.parts[0] if side == "X" else graph.parts[1]
+    a_mask = data.draw(st.sets(st.sampled_from(bits_list(side_mask))).map(mask_of))
+    rec = closure(graph, a_mask, side_mask)
+    assert count_closure_preimages(graph, rec, require_two_linked) == \
+        _preimages_by_subset_loop(graph, rec, require_two_linked)
+
+
+def test_half_table_preimages_at_odd_closure_sizes():
+    # closures of 1, 3 and 5 vertices: the two half tables differ in size
+    for graph in (cycle_graph(10), cycle_graph(12), complete_bipartite_graph(3),
+                  complete_bipartite_graph(5)):
+        x_mask = graph.parts[0]
+        closed = (closure(graph, mask_of(sub), x_mask)
+                  for k in range(1, 4) for sub in combinations(bits_list(x_mask), k))
+        records = {rec.closure: rec for rec in closed}
+        assert {rec.a % 2 for rec in records.values()} >= {1}
+        for rec in records.values():
+            for require_two_linked in (True, False):
+                assert count_closure_preimages(graph, rec, require_two_linked) == \
+                    _preimages_by_subset_loop(graph, rec, require_two_linked)
 
 
 def test_side_sum_c4_example():

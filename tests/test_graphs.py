@@ -16,7 +16,6 @@ from cayleycount.graphs import (
     edge_connectivity,
     graph_from_json,
     graph_to_json,
-    is_two_linked,
     mask_of,
     times_k2,
     vertex_connectivity,
@@ -176,7 +175,6 @@ def test_two_linkage_matches_networkx_square_graph(item, data):
     comps = g.components(a_mask, hops=2)
     assert {frozenset(bits_list(c)) for c in comps} == expected, label
     assert len(comps) == len(expected)
-    assert is_two_linked(g, a_mask) == (len(expected) == 1), label
 
 
 def test_side_of():
