@@ -2,14 +2,13 @@
 sets.
 
 Two independent counting routes are kept deliberately separate: a branching
-engine (component factorization + memoization on relabeled component
-signatures) and a doubling table over all 2^V subsets, held in one int.
-Tests require them to agree; neither shares code with the other.
+engine (component factorization, path and cycle closed forms, memoization on
+component vertex masks) and a doubling table over all 2^V subsets, held in
+one int.  Tests require them to agree; neither shares code with the other.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp
@@ -27,10 +26,14 @@ ENUM_STATE_BUDGET = 1 << 20
 def count_independent_sets(graph: Graph, budget: int = DEFAULT_BRANCHING_BUDGET) -> int:
     """Exact i(G), empty set included.
 
-    Branches on a maximum-degree vertex (exclude it / take it and delete its
-    closed neighborhood), factors over connected components, and memoizes on
-    a position-independent component signature so that repeated fragments of
-    structured graphs (rings, circulants) are counted once.
+    i(G) is the product of its components' counts.  A component of maximum
+    degree <= 2 is a path (i = F(k+2)) or a cycle (i = L(k)) and is counted
+    in closed form.  Any other component branches on a maximum-degree vertex
+    v (exclude v / take v and delete its closed neighborhood) and splits
+    both remainders into components again.  Within one graph a vertex mask
+    fixes the induced subgraph, so branched components are memoized by
+    their mask, and repeated fragments are counted once.  The branching runs
+    on an explicit stack, so its depth is bounded by memory alone.
     """
     if graph.vcount > budget:
         raise InstanceTooLargeError(
@@ -38,70 +41,74 @@ def count_independent_sets(graph: Graph, budget: int = DEFAULT_BRANCHING_BUDGET)
     if graph.vcount == 0:
         return 1
     adj = graph.adj
-    memo: dict[tuple[int, ...], int] = {}
+    memo: dict[int, int] = {}
 
-    def signature(comp: int) -> tuple[int, ...]:
-        vs = bits_list(comp)
-        pos = {v: i for i, v in enumerate(vs)}
-        sig = []
-        for v in vs:
-            rest = adj[v] & comp
-            m = 0
+    def split(active: int) -> list[int]:
+        """The connected components of `active`, each grown from the
+        frontier of its newly added vertices."""
+        comps = []
+        while active:
+            comp = frontier = active & -active
+            while frontier:
+                grown = 0
+                while frontier:
+                    lsb = frontier & -frontier
+                    grown |= adj[lsb.bit_length() - 1]
+                    frontier ^= lsb
+                frontier = grown & active & ~comp
+                comp |= frontier
+            active ^= comp
+            comps.append(comp)
+        return comps
+
+    # A frame is [component, slot in its parent, exclude-v product, take-v
+    # product, todo]; todo holds the (slot, subcomponent) pairs still to
+    # count, slot 2 for exclude-v and 3 for take-v.  The root frame's
+    # take-v product is 0, so its total is the product over G's components.
+    stack = [[0, 0, 1, 0, [(2, comp) for comp in split(graph.full_mask())]]]
+    while True:
+        frame = stack[-1]
+        todo = frame[4]
+        while todo:
+            slot, comp = todo.pop()
+            k = comp.bit_count()
+            if k <= 2:
+                frame[slot] *= k + 1        # one vertex, or one edge
+                continue
+            known = memo.get(comp)
+            if known is not None:
+                frame[slot] *= known
+                continue
+            best_v = best_d = -1
+            degree_sum = 0
+            rest = comp
             while rest:
                 lsb = rest & -rest
-                m |= 1 << pos[lsb.bit_length() - 1]
+                v = lsb.bit_length() - 1
+                d = (adj[v] & comp).bit_count()
+                degree_sum += d
+                if d > best_d:
+                    best_d, best_v = d, v
                 rest ^= lsb
-            sig.append(m)
-        return tuple(sig)
-
-    def count_active(active: int) -> int:
-        result = 1
-        rest = active
-        while rest:
-            seed = rest & -rest
-            comp = seed
-            while True:
-                grown = comp
-                sub = comp
-                while sub:
-                    lsb = sub & -sub
-                    grown |= adj[lsb.bit_length() - 1]
-                    sub ^= lsb
-                grown &= active
-                if grown == comp:
-                    break
-                comp = grown
-            rest &= ~comp
-            result *= count_comp(comp)
-        return result
-
-    def count_comp(comp: int) -> int:
-        k = comp.bit_count()
-        if k == 1:
-            return 2
-        if k == 2:
-            return 3  # connected pair = one edge
-        sig = signature(comp)
-        cached = memo.get(sig)
-        if cached is not None:
-            return cached
-        best_v, best_d = -1, -1
-        for v in iter_bits(comp):
-            dv = (adj[v] & comp).bit_count()
-            if dv > best_d:
-                best_d, best_v = dv, v
-        v_bit = 1 << best_v
-        taken = comp & ~((adj[best_v] & comp) | v_bit)
-        res = count_active(comp & ~v_bit) + count_active(taken)
-        memo[sig] = res
-        return res
-
-    caller_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(caller_limit, 10000))
-    try:
-        return count_active(graph.full_mask())
-    finally:
-        sys.setrecursionlimit(caller_limit)
+            if best_d <= 2:
+                # a path has k - 1 edges, a cycle k
+                a, b = (1, 2) if degree_sum < 2 * k else (2, 1)
+                for _ in range(k):
+                    a, b = b, a + b
+                frame[slot] *= a
+                continue
+            v_bit = 1 << best_v
+            stack.append([comp, slot, 1, 1,
+                          [(2, c) for c in split(comp ^ v_bit)]
+                          + [(3, c) for c in split(comp & ~(adj[best_v] | v_bit))]])
+            break
+        else:
+            stack.pop()
+            total = frame[2] + frame[3]
+            if not stack:
+                return total
+            memo[frame[0]] = total
+            stack[-1][frame[1]] *= total
 
 
 def count_independent_sets_bruteforce(graph: Graph,

@@ -69,6 +69,16 @@ def test_table_csv(tmp_path, capsys):
             for r in json.loads(out)["rows"]] == rows
 
 
+def test_count_of_a_long_cycle(tmp_path, capsys):
+    n = 3000
+    gpath = tmp_path / "c3000.json"
+    gpath.write_text(json.dumps({"vcount": n, "edges": [[v, (v + 1) % n] for v in range(n)]}))
+    code, out, err = run_cli(["count", str(gpath), "--budget", "4000"], capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    assert json.loads(out)["i"] == str(counting.lucas_number(n))
+
+
 def test_non_generating_warning(tmp_path, capsys):
     gpath = str(tmp_path / "g.json")
     code, _, err = run_cli(["build", "--group", "Z6", "--gens", "2,4", "-o", gpath], capsys)

@@ -19,7 +19,7 @@ from cayleycount.counting import (
 )
 from cayleycount.errors import InstanceTooLargeError
 from cayleycount.graphs import Graph, bits_list, closure, iter_bits, mask_of
-from cayleycount.groups import GeneratorSet, make_group
+from cayleycount.groups import GeneratorSet, coords_to_id, make_group
 from cayleycount.graphs import build_cayley
 from cayleycount.verify import complete_bipartite_graph, cycle_graph
 
@@ -35,15 +35,47 @@ def test_known_counts():
     assert count_independent_sets(Graph([])) == 1
 
 
-def test_count_leaves_the_recursion_limit_as_it_found_it():
-    # below the 10,000 that the count raises it to while it runs
+def _path(n):
+    return Graph([(1 << v - 1 if v else 0) | (1 << v + 1 if v + 1 < n else 0)
+                  for v in range(n)])
+
+
+def _ladder(k):
+    """P_k x K2: vertices 2i and 2i + 1 form rung i."""
+    adj = [0] * (2 * k)
+    edges = [(2 * i, 2 * i + 1) for i in range(k)]
+    edges += [(v, v + 2) for v in range(2 * k - 2)]
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(adj)
+
+
+def test_count_runs_deep_instances_without_touching_the_recursion_limit(monkeypatch):
+    # the count may neither need nor set a recursion limit: it runs under a
+    # low one, and setting any limit fails the test
+    real_set = sys.setrecursionlimit
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(2000)
+
+    def refuse(new_limit):
+        raise AssertionError(f"the count set the recursion limit to {new_limit}")
+
+    real_set(200)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     try:
-        assert count_independent_sets(cycle_graph(40)) == lucas_number(40)
-        assert sys.getrecursionlimit() == 2000
+        # i(P_k x K2): a(1) = 3, a(2) = 7, a(k) = 2 a(k-1) + a(k-2)
+        a, b = 3, 7
+        for _ in range(400 - 2):
+            a, b = b, 2 * b + a
+        assert count_independent_sets(_ladder(400), budget=800) == b
+        assert count_independent_sets(cycle_graph(3000), budget=3000) == lucas_number(3000)
+        # i(P_n) = F(n + 2)
+        f, g = 0, 1
+        for _ in range(3000 + 2):
+            f, g = g, f + g
+        assert count_independent_sets(_path(3000), budget=3000) == f
     finally:
-        sys.setrecursionlimit(limit)
+        real_set(limit)
 
 
 def test_bruteforce_known_counts():
@@ -111,6 +143,52 @@ def test_engine_matches_bruteforce_on_random_graphs(n, data):
                 adj[v] |= 1 << u
     g = Graph(adj)
     assert count_independent_sets(g) == count_independent_sets_bruteforce(g)
+
+
+@st.composite
+def path_cycle_unions(draw):
+    """Disjoint unions of paths and cycles on at most 20 vertices under a
+    random relabeling, so that components are non-contiguous masks;
+    sometimes with pendant vertices or chords, so that the engine branches
+    until the remainders fall into closed forms."""
+    edges, n = [], 0
+    for cyclic, k in draw(st.lists(st.tuples(st.booleans(), st.integers(1, 9)),
+                                   min_size=1, max_size=4)):
+        k = min(max(k, 3) if cyclic else k, 17 - n)
+        if k < 1:
+            break
+        edges += [(n + i, n + i + 1) for i in range(k - 1)]
+        if cyclic and k >= 3:
+            edges.append((n + k - 1, n))
+        n += k
+    for _ in range(draw(st.integers(0, 3))):
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=2))
+    label = draw(st.permutations(range(n)))
+    adj = [0] * n
+    for u, v in edges:
+        if u != v:
+            adj[label[u]] |= 1 << label[v]
+            adj[label[v]] |= 1 << label[u]
+    return Graph(adj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path_cycle_unions())
+def test_closed_forms_and_mask_memo_match_bruteforce(graph):
+    assert count_independent_sets(graph) == count_independent_sets_bruteforce(graph)
+
+
+def test_hypercube_counts():
+    # i(Q_d) for Q_d the Cayley graph of Z2^d with the standard basis
+    known = {2: 7, 3: 35, 4: 743, 5: 254475, 6: 19768832143}
+    for d, count in known.items():
+        spec = make_group([2] * d)
+        basis = GeneratorSet(spec, {coords_to_id(spec, [int(i == j) for j in range(d)])
+                                    for i in range(d)})
+        assert count_independent_sets(build_cayley(spec, basis)) == count
 
 
 def test_monotone_under_added_generators():
