@@ -180,15 +180,15 @@ def cmd_containers(args: argparse.Namespace) -> int:
     violation = False
     for idx, rec in enumerate(counting.enumerate_small_2linked_closed(graph, args.side)):
         bc = containers.boundary_container(graph, rec)
+        # the sampler checks F and raises InvariantViolation on an invalid one
         f_mask, rep = containers.phi_approx_sample(graph, rec, bc.c_mask, args.seed)
-        phi_ok = containers.check_phi(graph, rec, f_mask)
         psi = containers.psi_approx(graph, rec, f_mask)
         psi_rep = containers.check_psi(graph, rec, psi)
         size_flag = ("skipped" if psi_rep.size_bound_ok is None
                      else str(psi_rep.size_bound_ok).lower())
-        violation |= not phi_ok or not psi_rep.valid or psi_rep.size_bound_ok is False
+        violation |= not psi_rep.valid or psi_rep.size_bound_ok is False
         writer.writerow([idx, rec.a, rec.g, rec.t, bc.c_mask.bit_count(),
-                         rep.f_size, psi_rep.s_size, str(phi_ok).lower(),
+                         rep.f_size, psi_rep.s_size, "true",
                          str(psi_rep.valid).lower(), size_flag, rep.retries])
     _emit(args, buf.getvalue())
     print(json.dumps(_report_header(args)), file=sys.stderr)

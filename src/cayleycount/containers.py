@@ -78,13 +78,23 @@ def greedy_cover(universe: int, candidates: Sequence[int]) -> CoverResult:
     if universe == 0:
         return CoverResult([], 0, 0.0)
     restricted = [c & universe for c in candidates]
-    a_min = len(restricted)
-    for v in iter_bits(universe):
-        bit = 1 << v
-        multiplicity = sum(1 for c in restricted if c & bit)
-        if not multiplicity:
-            raise UncoverableError(f"universe element {v} lies in no candidate set")
-        a_min = min(a_min, multiplicity)
+    # layers[j]: the elements in at least j + 1 candidates; a candidate
+    # carries the elements it holds up through the layers that hold them
+    layers: list[int] = []
+    for carry in restricted:
+        for j, layer in enumerate(layers):
+            if not carry:
+                break
+            carry, layers[j] = carry & layer, layer | carry
+        else:
+            if carry:
+                layers.append(carry)
+    missed = universe & ~layers[0] if layers else universe
+    if missed:
+        v = (missed & -missed).bit_length() - 1
+        raise UncoverableError(f"universe element {v} lies in no candidate set")
+    # the layers shrink, so the ones that hold the whole universe come first
+    a_min = sum(1 for layer in layers if layer == universe)
     b_max = max(c.bit_count() for c in restricted)
     chosen: list[int] = []
     covered = 0
@@ -436,21 +446,21 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryCont
         raise InvalidInputError("record must be small")
     d = regular_degree(graph)
     d2 = graph.gens.d2
-    c = math.log2(d) ** 2 if d >= 2 else 0.0
     t = rec.t
     denom = t * d2 / math.log2(d) ** 3 if d >= 2 and t > 0 else None
 
-    if d < 4 or c < 4:
+    # c = log2(d)^2 is below 4 exactly when d is
+    if d < 4:
         return BoundaryContainer(rec.boundary, True,
                                  rec.boundary.bit_count() / denom if denom else None)
 
     spec = graph.group
     x_side = rec.side
     y_side = graph.full_mask() & ~x_side
+    powers, c, c_out = graph.chain_inputs()
 
     # trim the closure to a core with controlled growth, then re-close it
-    d_mask = graph.gens.mask
-    chain = chain_witness_search(spec, rec.closure, d_mask, k=3, c=c, mode="greedy")
+    chain = chain_witness_search(spec, rec.closure, powers, c, mode="greedy")
     # [core] lies inside [A], because N(core) lies inside G
     core_rec = closure(graph, chain.chain[-1], x_side)
     core, g_core = core_rec.closure, core_rec.nbhd
@@ -466,8 +476,7 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryCont
     outside = y_side & ~g_core
     m_prime = outside
     if outside:
-        chain_out = chain_witness_search(spec, outside, d_mask,
-                                         k=2, c=c * math.log2(d), mode="greedy")
+        chain_out = chain_witness_search(spec, outside, powers[:3], c_out, mode="greedy")
         m_prime = chain_out.chain[-1]
     n2_m = graph.nbhd_iter(m_prime, 2)
     a2 = graph.nbhd(n2_m) & core

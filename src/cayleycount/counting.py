@@ -174,39 +174,46 @@ def enumerate_small_2linked_closed(graph: Graph, side: str = "X") -> Iterator[Cl
     soundly because closures only grow along the walk.  Visited-state
     dedup keeps the walk output-sensitive, so structured graphs far beyond
     exhaustive-subset range still enumerate quickly.  More than
-    ENUM_STATE_BUDGET states raise InstanceTooLargeError.
+    ENUM_STATE_BUDGET queued states raise InstanceTooLargeError.
 
-    Each child grows from its parent's G = N(state): the closure of
-    state + v is the state plus the side vertices outside it whose
-    neighborhood lies in G | N(v), and each of those has a neighbor in
-    N(v) \\ G.  The empty root is not closed when a side vertex is isolated
-    (an isolated vertex lies in every closure), so its children are closed
-    from scratch.
+    A closure has the neighborhood of the set it closes, and a closed set is
+    exactly the side vertices inside its neighborhood, so a closed set and
+    its neighborhood determine each other.  The child of state + v is keyed
+    by G | N(v), G = N(state) riding in the queue next to its state, and is
+    closed only when its key is new; oversized children are keyed too, so
+    none is closed twice.  The closure of state + v is the state plus the
+    side vertices outside it whose neighborhood lies in G | N(v), and each
+    of those has a neighbor in N(v) \\ G.  The empty root is not closed
+    when a side vertex is isolated (an isolated vertex lies in every
+    closure), so its children are closed from scratch.
     """
     if graph.parts is None:
         raise InvalidInputError("enumeration requires a bipartite graph")
     side_mask = graph.parts[0] if side == "X" else graph.parts[1]
     n = side_mask.bit_count()
     adj = graph.adj
-    seen: set[int] = set()
-    queue = [0]     # the empty state: its children are the single-vertex closures
-    for state in queue:
-        if len(seen) > ENUM_STATE_BUDGET:
+    seen: set[int] = set()      # the neighborhoods of the children closed so far
+    # (state, N(state)); the empty state's children are the single-vertex closures
+    queue = [(0, 0)]
+    for state, g in queue:
+        if len(queue) - 1 > ENUM_STATE_BUDGET:     # the empty root is no state
             raise InstanceTooLargeError("closed-set enumeration exceeded state budget")
         if state:
             # a state is closed, so its record's closure is the state itself
-            g = graph.nbhd(state)
             outside = side_mask & ~state
             yield ClosedSetRecord(state, g, graph.heavy(g, outside, 1), side_mask, n)
-            children = (state | graph.interior(outside & graph.nbhd(adj[v] & ~g), g | adj[v])
-                        for v in iter_bits(graph.nbhd(g) & outside))
+            grow = graph.nbhd(g) & outside
         else:
-            children = (graph.interior(side_mask, adj[v]) for v in iter_bits(side_mask))
-        for child in children:
-            if 2 * child.bit_count() > n or child in seen:
+            grow = side_mask
+        for v in iter_bits(grow):
+            key = g | adj[v]
+            if key in seen:
                 continue
-            seen.add(child)
-            queue.append(child)
+            seen.add(key)
+            child = (state | graph.interior(outside & graph.nbhd(adj[v] & ~g), key) if state
+                     else graph.interior(side_mask, key))
+            if 2 * child.bit_count() <= n:
+                queue.append((child, key))
 
 
 def _or_table(rows: list[int]) -> list[int]:

@@ -9,11 +9,13 @@ so unions, intersections and popcounts are single word-parallel operations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
-from . import groups
+from . import groups, sumsets
 from .errors import (
     InstanceTooLargeError,
     InvalidGeneratorsError,
@@ -160,9 +162,12 @@ class Graph:
 
 
 class CayleyGraph(Graph):
-    """Cayley graph on a group with a symmetric generator set."""
+    """Cayley graph on a group with a symmetric generator set.
 
-    __slots__ = ("group", "gens")
+    Like the whole-graph facts, the boundary container's chain inputs
+    depend on the graph alone and are computed on first use and kept."""
+
+    __slots__ = ("group", "gens", "_chain")
 
     def __init__(self, group: GroupSpec, gens: GeneratorSet):
         if gens.spec != group:
@@ -179,11 +184,24 @@ class CayleyGraph(Graph):
         # and 0-free, and the parts are the kernel and coset of a map to Z2
         self.vcount, self.adj, self.parts = n, tuple(adj), groups.bipartition(group, gens)
         self._facts = None
+        self._chain: Optional[tuple[tuple[int, ...], Fraction, Fraction]] = None
         self.group = group
         self.gens = gens
         d = gens.d
         if not all(r.bit_count() == d for r in adj):
             raise InvariantViolation("Cayley graph must be regular")
+
+    def chain_inputs(self) -> tuple[tuple[int, ...], Fraction, Fraction]:
+        """((D, 2D, 3D, 4D), c, c log2 d) with c = log2(d)^2, each constant
+        the nearest fraction of denominator <= 10^6 to its float value;
+        computed once."""
+        if self._chain is None:
+            log_d = math.log2(self.gens.d)
+            c = log_d ** 2
+            self._chain = (sumsets.chain_powers(self.group, self.gens.mask, 3),
+                           Fraction(c).limit_denominator(10**6),
+                           Fraction(c * log_d).limit_denominator(10**6))
+        return self._chain
 
 
 def build_cayley(group: GroupSpec, gens: GeneratorSet) -> CayleyGraph:

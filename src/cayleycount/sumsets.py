@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import groups
 from .errors import InvalidInputError, InvariantViolation, SearchSpaceTooLargeError
@@ -160,28 +160,42 @@ def _chain_bound(m: int, i: int, c: Fraction, t: int) -> int:
     return m + (2 * i) ** (i + 1) * c.numerator ** i * t // c.denominator ** i
 
 
-def chain_witness_search(spec: GroupSpec, m_set: int, d_set: int,
-                         k: int, c: float, mode: str) -> ChainWitness:
+def chain_powers(spec: GroupSpec, d_set: int, k: int) -> tuple[int, ...]:
+    """(D, 2D, ..., (k+1)D): the `powers` of a depth-k chain search."""
+    powers = [d_set]
+    for _ in range(k):
+        powers.append(sumset(spec, powers[-1], d_set))
+    return tuple(powers)
+
+
+def chain_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int],
+                         c: Fraction | int, mode: str) -> ChainWitness:
     """Find a chain M = M^(0) >= ... >= M^(k), each step removing at most
     t/c elements, with |M^(i) + (i+1)D| <= m + (2i)^(i+1) c^i t for each
     level 1 <= i <= k.
 
-    `mode` is "exhaustive" or "greedy".  Exhaustive mode proves existence
-    on small instances (|M| <= CHAIN_CAP); greedy mode (repeatedly drop the
-    element whose removal shrinks the iterated sumset most) reports success
-    or failure without an existence guarantee.
+    `powers` is (D, 2D, ..., (k+1)D), so k = len(powers) - 1; a caller that
+    searches many M against one D builds them once (`chain_powers`).  `c`
+    is exact, an int or a Fraction.  `mode` is "exhaustive" or "greedy".
+    Exhaustive mode proves existence on small instances (|M| <= CHAIN_CAP);
+    greedy mode (repeatedly drop the element whose removal shrinks the
+    iterated sumset most) reports success or failure without an existence
+    guarantee.
     """
-    if not m_set or not d_set:
+    if not m_set or not powers or not powers[0]:
         raise InvalidInputError("M and D must be nonempty")
+    k = len(powers) - 1
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     if mode not in ("exhaustive", "greedy"):
         raise InvalidInputError(f"mode must be 'exhaustive' or 'greedy', got {mode!r}")
-    c_frac = Fraction(c).limit_denominator(10**6) if not isinstance(c, int) else Fraction(c)
+    if not isinstance(c, (int, Fraction)):
+        raise InvalidInputError(f"c must be an int or a Fraction, got {c!r}")
+    c_frac = Fraction(c)
     if c_frac < 4:
         raise InvalidInputError("c must be >= 4")
     m = m_set.bit_count()
-    t = sumset(spec, m_set, d_set).bit_count() - m
+    t = sumset(spec, m_set, powers[0]).bit_count() - m
     if t < 0:
         raise InvalidInputError("|M + D| < |M|: chain precondition violated")
     budget = t * c_frac.denominator // c_frac.numerator
@@ -189,11 +203,7 @@ def chain_witness_search(spec: GroupSpec, m_set: int, d_set: int,
     if mode == "exhaustive" and m > CHAIN_CAP:
         raise SearchSpaceTooLargeError(f"|M| = {m} exceeds exhaustive cap {CHAIN_CAP}")
 
-    # powers[i] = (i+1)D; rhs[i] is the level-i bound, floored since lhs is
-    # an integer
-    powers = [d_set]
-    for _ in range(k):
-        powers.append(sumset(spec, powers[-1], d_set))
+    # rhs[i] is the level-i bound, floored since lhs is an integer
     rhs = [_chain_bound(m, i, c_frac, t) for i in range(k + 1)]
 
     def level_ok(subset: int, i: int) -> Optional[tuple[int, int]]:

@@ -296,10 +296,11 @@ def sweep_chain(max_order: int = 12) -> SweepResult:
         m_sets, d_sets = sets_with_zero(order, 8), sets_with_zero(order, 3)
         for spec in groups.enumerate_abelian_groups(order):
             for d_set in d_sets:
+                powers = sumsets.chain_powers(spec, d_set, 2)
                 for m_set in m_sets:
                     for k in (1, 2):
                         res.checked += 1
-                        wit = sumsets.chain_witness_search(spec, m_set, d_set, k, 4,
+                        wit = sumsets.chain_witness_search(spec, m_set, powers[:k + 1], 4,
                                                            mode="exhaustive")
                         if not wit.success:
                             res.violations += 1

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from cayleycount.counting import enumerate_small_2linked_closed
 from cayleycount.errors import InvalidInputError, InvariantViolation, UncoverableError
 from cayleycount.graphs import Graph, bits_list, build_cayley, closure, iter_bits, mask_of
 from cayleycount.groups import GeneratorSet, coords_to_id, make_group, symmetrize
-from cayleycount.sumsets import chain_witness_search
+from cayleycount.sumsets import chain_witness_search, iterated_sumset
 from cayleycount.constructions import OddCirculantConfig, build_odd_circulant
 from cayleycount.verify import cycle_graph
 
@@ -126,9 +127,35 @@ def _outcome(fn, universe, candidates):
         return type(exc), str(exc)
 
 
+@st.composite
+def cover_instances(draw):
+    """A universe of up to 200 bits and up to 40 candidates, the lovasz-stein
+    suite's sizes; candidates may be empty, repeat one another, or reach
+    past the universe."""
+    bits = draw(st.integers(1, 200))
+    universe = draw(st.integers(0, 2 ** bits - 1))
+    candidates = draw(st.lists(st.one_of(st.just(0), st.integers(0, 2 ** (bits + 8) - 1)),
+                               max_size=40))
+    if candidates:
+        repeats = draw(st.lists(st.sampled_from(candidates), max_size=8))
+        candidates = draw(st.permutations(candidates + repeats))
+    least = draw(st.integers(0, 3))
+    if least:
+        # every element in at least `least` candidates: coverable, so the
+        # greedy loop runs, and a_min >= least
+        universe |= 2 ** bits - 1
+        for v in range(bits):
+            if sum(c >> v & 1 for c in candidates) < least:
+                universe &= ~(1 << v)
+    return universe, candidates
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2 ** 12 - 1), st.lists(st.integers(0, 2 ** 14 - 1), max_size=8))
-def test_greedy_cover_matches_dict_counts(universe, candidates):
+@given(st.one_of(cover_instances(),
+                 st.tuples(st.integers(0, 2 ** 12 - 1),
+                           st.lists(st.integers(0, 2 ** 14 - 1), max_size=8))))
+def test_greedy_cover_matches_dict_counts(instance):
+    universe, candidates = instance
     assert _outcome(greedy_cover, universe, candidates) == \
         _outcome(_greedy_cover_dict_counts, universe, candidates)
 
@@ -318,11 +345,14 @@ def test_boundary_container_core_is_the_closed_chain_end():
     x_side = g.parts[0]
     records = list(enumerate_small_2linked_closed(g, "X"))
     assert records
+    powers = tuple(iterated_sumset(g.group, g.gens.mask, g.gens.mask, i) for i in range(4))
+    c = Fraction(math.log2(d) ** 2).limit_denominator(10**6)
+    c_out = Fraction(math.log2(d) ** 2 * math.log2(d)).limit_denominator(10**6)
+    assert g.chain_inputs() == (powers, c, c_out)
     for rec in records:
         bc = boundary_container(g, rec)
         assert not bc.fallback
-        chain = chain_witness_search(g.group, rec.closure, g.gens.mask, k=3,
-                                     c=math.log2(d) ** 2, mode="greedy")
+        chain = chain_witness_search(g.group, rec.closure, powers, c, mode="greedy")
         core = chain.chain[-1]
         g_core = g.nbhd(core)
         core_closed = 0

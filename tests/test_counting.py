@@ -2,11 +2,13 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayleycount import counting
 from cayleycount.counting import (
     bipartite_bound_sum,
     cluster_bound,
@@ -307,6 +309,21 @@ def _enumerate_from_scratch(graph, side):
 @given(bipartite_graphs(), st.sampled_from("XY"))
 def test_incremental_enumeration_matches_from_scratch_walk(graph, side):
     assert list(enumerate_small_2linked_closed(graph, side)) == _enumerate_from_scratch(graph, side)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_graphs(), st.sampled_from("XY"))
+def test_state_budget_counts_queued_states(graph, side):
+    # the budget counts the walk's states, not the neighborhood keys, which
+    # also hold the oversized children
+    states = len(_enumerate_from_scratch(graph, side))
+    for budget in range(states + 2):
+        with patch.object(counting, "ENUM_STATE_BUDGET", budget):
+            if states > budget:
+                with pytest.raises(InstanceTooLargeError):
+                    list(enumerate_small_2linked_closed(graph, side))
+            else:
+                assert len(list(enumerate_small_2linked_closed(graph, side))) == states
 
 
 def _preimages_by_subset_loop(graph, rec, require_two_linked):

@@ -1,14 +1,24 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleycount import groups
 from cayleycount.errors import InvalidInputError, SearchSpaceTooLargeError
-from cayleycount.graphs import mask_of
-from cayleycount.groups import GeneratorSet, add_ids, make_group, symmetrize
+from cayleycount.graphs import iter_bits, mask_of
+from cayleycount.groups import (
+    GeneratorSet,
+    add_ids,
+    enumerate_abelian_groups,
+    make_group,
+    symmetrize,
+)
 from cayleycount.sumsets import (
+    CHAIN_CAP,
+    ChainWitness,
     ThinningConfig,
+    chain_powers,
     chain_witness_search,
     iterated_growth_check,
     iterated_sumset,
@@ -131,8 +141,8 @@ def test_olson_shift_invariance():
 
 def test_chain_examples():
     z64 = make_group([64])
-    wit = chain_witness_search(z64, mask_of({0, 1, 2, 3, 4}), mask_of({0, 1, 63}), 2, 4,
-                               mode="exhaustive")
+    powers = chain_powers(z64, mask_of({0, 1, 63}), 2)
+    wit = chain_witness_search(z64, mask_of({0, 1, 2, 3, 4}), powers, 4, mode="exhaustive")
     assert wit.success and wit.mode == "exhaustive"
     assert len(wit.chain) == 3
     assert wit.chain[0] == mask_of({0, 1, 2, 3, 4})
@@ -141,7 +151,8 @@ def test_chain_examples():
     for level, lhs, rhs in wit.bounds:
         assert lhs <= rhs
     # singleton generator: t = 0, the chain is M itself at every level
-    wit = chain_witness_search(z64, mask_of({0, 5, 11}), mask_of({7}), 2, 4, mode="exhaustive")
+    wit = chain_witness_search(z64, mask_of({0, 5, 11}), chain_powers(z64, mask_of({7}), 2), 4,
+                               mode="exhaustive")
     assert wit.success
     assert all(s == wit.chain[0] for s in wit.chain)
     assert wit.t == 0
@@ -149,14 +160,102 @@ def test_chain_examples():
 
 def test_chain_greedy_mode():
     z64 = make_group([64])
-    wit = chain_witness_search(z64, mask_of(set(range(20))), mask_of({0, 1, 63}), 2, 4,
-                               mode="greedy")
+    powers = chain_powers(z64, mask_of({0, 1, 63}), 2)
+    assert powers == tuple(iterated_sumset(z64, mask_of({0, 1, 63}), mask_of({0, 1, 63}), i)
+                           for i in range(3))
+    wit = chain_witness_search(z64, mask_of(set(range(20))), powers, 4, mode="greedy")
     assert wit.mode == "greedy"
     assert wit.success
-    with pytest.raises(InvalidInputError):
-        chain_witness_search(z64, mask_of({0}), mask_of({1}), 2, c=2, mode="greedy")
-    with pytest.raises(InvalidInputError):
-        chain_witness_search(z64, mask_of({0}), mask_of({1}), 2, 4, mode="auto")
+    one = chain_powers(z64, mask_of({1}), 2)
+    for bad in (dict(c=2), dict(mode="auto"), dict(c=4.0), dict(powers=one[:1]),
+                dict(powers=()), dict(powers=(0, 0)), dict(m_set=0)):
+        args = dict(spec=z64, m_set=mask_of({0}), powers=one, c=4, mode="greedy") | bad
+        with pytest.raises(InvalidInputError):
+            chain_witness_search(**args)
+
+
+def _chain_search_with_d(spec, m_set, d_set, k, c, mode):
+    """The chain search as it was when it took D, k and a float or int c,
+    and built (D, ..., (k+1)D) and the exact c itself on every call."""
+    if not m_set or not d_set:
+        raise InvalidInputError("M and D must be nonempty")
+    if k < 1:
+        raise InvalidInputError("k must be >= 1")
+    c_frac = Fraction(c).limit_denominator(10**6) if not isinstance(c, int) else Fraction(c)
+    if c_frac < 4:
+        raise InvalidInputError("c must be >= 4")
+    m = m_set.bit_count()
+    t = sumset(spec, m_set, d_set).bit_count() - m
+    if t < 0:
+        raise InvalidInputError("|M + D| < |M|: chain precondition violated")
+    budget = t * c_frac.denominator // c_frac.numerator
+    if mode == "exhaustive" and m > CHAIN_CAP:
+        raise SearchSpaceTooLargeError(f"|M| = {m} exceeds exhaustive cap {CHAIN_CAP}")
+    powers = [d_set]
+    for _ in range(k):
+        powers.append(sumset(spec, powers[-1], d_set))
+    rhs = [m + (2 * i) ** (i + 1) * c_frac.numerator ** i * t // c_frac.denominator ** i
+           for i in range(k + 1)]
+
+    def level_ok(subset, i):
+        lhs = sumset(spec, subset, powers[i]).bit_count()
+        return (lhs, rhs[i]) if lhs <= rhs[i] else None
+
+    if mode == "exhaustive":
+        def dfs(current, level):
+            if level > k:
+                return []
+            bits = [1 << x for x in iter_bits(current)]
+            for removed in range(budget + 1):
+                for drop in combinations(bits, removed):
+                    cand = current ^ sum(drop)
+                    chk = level_ok(cand, level)
+                    rest = None if chk is None else dfs(cand, level + 1)
+                    if rest is not None:
+                        return [(cand, (level, *chk))] + rest
+            return None
+
+        found = dfs(m_set, 1)
+        steps = found or []
+        return ChainWitness([m_set] + [s for s, _ in steps], found is not None,
+                            "exhaustive", t, [b for _, b in steps])
+    chain, bounds, current, success = [m_set], [], m_set, True
+    for level in range(1, k + 1):
+        removed = 0
+        while True:
+            chk = level_ok(current, level)
+            if chk is not None:
+                bounds.append((level, chk[0], chk[1]))
+                break
+            if removed >= budget or current.bit_count() <= 1:
+                success = False
+                break
+            best_x = min(iter_bits(current), key=lambda x: sumset(
+                spec, current ^ (1 << x), powers[level]).bit_count())
+            current ^= 1 << best_x
+            removed += 1
+        if not success:
+            break
+        chain.append(current)
+    return ChainWitness(chain, success, "greedy", t, bounds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 64), st.data())
+def test_chain_search_on_powers_matches_the_search_on_d(order, data):
+    specs = enumerate_abelian_groups(order)
+    spec = data.draw(st.sampled_from(specs))
+    mode = data.draw(st.sampled_from(("exhaustive", "greedy")))
+    k = data.draw(st.integers(1, 3))
+    elements = st.integers(0, order - 1)
+    d_set = mask_of(data.draw(st.sets(elements, min_size=1, max_size=3)))
+    m_set = mask_of(data.draw(st.sets(elements, min_size=1,
+                                      max_size=6 if mode == "exhaustive" else 16)))
+    # an int, or a float made exact the way the old search did
+    c = data.draw(st.one_of(st.integers(4, 12), st.floats(4, 40)))
+    c_exact = c if isinstance(c, int) else Fraction(c).limit_denominator(10**6)
+    got = chain_witness_search(spec, m_set, chain_powers(spec, d_set, k), c_exact, mode)
+    assert got == _chain_search_with_d(spec, m_set, d_set, k, c, mode)
 
 
 def test_minimal_generating_subset():
