@@ -6,15 +6,24 @@ travel in two representations: coordinate tuples at the API boundary and
 dense integer ids (mixed-radix rank of the coordinates, first factor most
 significant) inside all kernels.
 
+`add_ids` and `neg_id` work on ids directly, with no tables and no order
+limit, in one of three exact cases: a cyclic group is arithmetic mod the
+order; in an elementary 2-group the id bits are the coordinates, so
+addition is XOR and every element is its own negative; any other group
+adds digit by digit over `GroupSpec.radix`, the (factor, stride) pairs.
+Everything derived from a group alone (radix, translations) is kept on
+its `GroupSpec`, so no per-call path hashes a spec.
+
 A set of elements is an int bitmask, bit x for element id x: generator
 sets, subgroups and the bipartition sides alike.  Collections of ids are
 taken only where sets enter the program (`GeneratorSet`, `symmetrize`).
 
 `sumset` is the one A + B kernel on such masks: it applies the masked
-rotations of `translations`, one per nonzero coordinate of each element of
-the smaller set.  Subgroups are its closure (`subgroup_generated`).  The
-bipartition is a mask expression too: the sides of a map to Z2 are XORs of
-the odd-coordinate masks of the even factors, with no element loop.
+rotations of `GroupSpec.translations`, one per nonzero coordinate of each
+element of the smaller set.  Subgroups are its closure
+(`subgroup_generated`).  The bipartition is a mask expression too: the
+sides of a map to Z2 are XORs of the odd-coordinate masks of the even
+factors, with no element loop.
 """
 
 from __future__ import annotations
@@ -35,10 +44,6 @@ from .errors import (
     InvalidInputError,
 )
 
-# Addition tables are only materialized for groups up to this order;
-# larger groups fall back to per-call coordinate arithmetic.
-_TABLE_ORDER_LIMIT = 64
-
 # The largest group order, and graph vertex count, taken as input: checked
 # before a generator mask or an adjacency list is allocated.
 MAX_ORDER = 1 << 14
@@ -46,18 +51,42 @@ MAX_ORDER = 1 << 14
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finite Abelian group as a product of cyclic factors."""
+    """A finite Abelian group as a product of cyclic factors in
+    invariant-factor form: each factor divides the next.
+
+    The data derived from the factors alone are cached properties, stored
+    outside the fields: equality and hashing compare `factors` only."""
 
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.factors or any(m < 2 for m in self.factors):
             raise InvalidGroupError(f"cyclic factors must all be >= 2, got {self.factors}")
+        if any(b % a for a, b in zip(self.factors, self.factors[1:])):
+            raise InvalidGroupError(
+                f"factors {self.factors} are not an invariant-factor chain (each dividing "
+                "the next); make_group canonicalizes any factor list")
 
     @cached_property
     def order(self) -> int:
-        # cached outside the fields: equality and hashing compare `factors`
         return prod(self.factors)
+
+    @cached_property
+    def radix(self) -> tuple[tuple[int, int], ...]:
+        """(factor m, stride s) per coordinate, s the product of the later
+        factors: coordinate i of id x is x // s % m."""
+        out, s = [], 1
+        for m in reversed(self.factors):
+            out.append((m, s))
+            s *= m
+        return tuple(reversed(out))
+
+    @cached_property
+    def translations(self) -> _Translations:
+        """Per element id a, the rotations that turn a bitmask (bit x =
+        element id x) into the mask of its translate by a: applied in turn,
+        each maps mask to ((mask & lo) << up) | ((mask & hi) >> down)."""
+        return _Translations(self)
 
     def __str__(self) -> str:
         return "x".join(f"Z{m}" for m in self.factors)
@@ -166,107 +195,72 @@ def bits_list(mask: int) -> list[int]:
     return list(iter_bits(mask))
 
 
-@lru_cache(maxsize=None)
-def _strides(spec: GroupSpec) -> tuple[int, ...]:
-    out = []
-    acc = 1
-    for m in reversed(spec.factors):
-        out.append(acc)
-        acc *= m
-    return tuple(reversed(out))
-
-
 def coords_to_id(spec: GroupSpec, coords: Sequence[int]) -> int:
     if len(coords) != len(spec.factors):
         raise InvalidInputError(f"expected {len(spec.factors)} coordinates, got {len(coords)}")
-    return sum((c % m) * s for c, m, s in zip(coords, spec.factors, _strides(spec)))
+    return sum(c % m * s for c, (m, s) in zip(coords, spec.radix))
 
 
 def id_to_coords(spec: GroupSpec, eid: int) -> tuple[int, ...]:
-    out = []
-    for m, s in zip(spec.factors, _strides(spec)):
-        out.append((eid // s) % m)
-    return tuple(out)
-
-
-def elements(spec: GroupSpec) -> list[tuple[int, ...]]:
-    """All elements in id order (lexicographic coordinates)."""
-    return list(product(*(range(m) for m in spec.factors)))
-
-
-@lru_cache(maxsize=None)
-def _tables(spec: GroupSpec) -> Optional[tuple[list[list[int]], list[int]]]:
-    if spec.order > _TABLE_ORDER_LIMIT:
-        return None
-    elems = elements(spec)
-    facs = spec.factors
-    ids = {e: i for i, e in enumerate(elems)}
-    add = [
-        [ids[tuple((a + b) % m for a, b, m in zip(ea, eb, facs))] for eb in elems]
-        for ea in elems
-    ]
-    neg = [ids[tuple((-a) % m for a, m in zip(e, facs))] for e in elems]
-    return add, neg
+    return tuple(eid // s % m for m, s in spec.radix)
 
 
 def add_ids(spec: GroupSpec, a: int, b: int) -> int:
     if len(spec.factors) == 1:
         return (a + b) % spec.order
-    tabs = _tables(spec)
-    if tabs is not None:
-        return tabs[0][a][b]
-    ca, cb = id_to_coords(spec, a), id_to_coords(spec, b)
-    return coords_to_id(spec, [x + y for x, y in zip(ca, cb)])
+    if spec.order == 1 << len(spec.factors):
+        return a ^ b            # every factor is 2: the id bits are the coordinates
+    out = 0
+    for m, s in spec.radix:
+        out += (a // s % m + b // s % m) % m * s
+    return out
 
 
 def neg_id(spec: GroupSpec, a: int) -> int:
     if len(spec.factors) == 1:
-        return (-a) % spec.order
-    tabs = _tables(spec)
-    if tabs is not None:
-        return tabs[1][a]
-    return coords_to_id(spec, [-x for x in id_to_coords(spec, a)])
-
-
-@lru_cache(maxsize=None)
-def _rotation(spec: GroupSpec, factor: int, shift: int) -> tuple[int, int, int, int]:
-    """Adding `shift` to coordinate `factor` of every element of a bitmask
-    rotates each block of m * s bits (m the factor, s its stride): the bits
-    `lo`, with coordinate below m - shift, move up by `up`; the rest, `hi`,
-    wrap down by `down`.  Built on first use: at most sum(m_i) per group."""
-    m, s = spec.factors[factor], _strides(spec)[factor]
-    full = (1 << spec.order) - 1
-    # bit 0 of every block (a block repunit) times the block's low run
-    lo = full // ((1 << m * s) - 1) * ((1 << (m - shift) * s) - 1)
-    return lo, full ^ lo, shift * s, (m - shift) * s
+        return -a % spec.order
+    if spec.order == 1 << len(spec.factors):
+        return a
+    out = 0
+    for m, s in spec.radix:
+        out += -(a // s) % m * s
+    return out
 
 
 class _Translations(dict):
-    """Element id -> its rotations, one per nonzero coordinate."""
+    """Element id -> its rotations, one per nonzero coordinate; each
+    rotation is built on first use, at most sum(m_i) per group."""
 
     def __init__(self, spec: GroupSpec):
         super().__init__()
         self.spec = spec
+        self.rotations: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+
+    def _rotation(self, factor: int, shift: int) -> tuple[int, int, int, int]:
+        """Adding `shift` to coordinate `factor` of every element of a
+        bitmask rotates each block of m * s bits (m the factor, s its
+        stride): the bits `lo`, with coordinate below m - shift, move up by
+        `up`; the rest, `hi`, wrap down by `down`."""
+        key = factor, shift
+        if key not in self.rotations:
+            m, s = self.spec.radix[factor]
+            full = (1 << self.spec.order) - 1
+            # bit 0 of every block (a block repunit) times the block's low run
+            lo = full // ((1 << m * s) - 1) * ((1 << (m - shift) * s) - 1)
+            self.rotations[key] = lo, full ^ lo, shift * s, (m - shift) * s
+        return self.rotations[key]
 
     def __missing__(self, a: int) -> tuple[tuple[int, int, int, int], ...]:
         coords = id_to_coords(self.spec, a)
-        self[a] = steps = tuple(_rotation(self.spec, i, c) for i, c in enumerate(coords) if c)
+        self[a] = steps = tuple(self._rotation(i, c) for i, c in enumerate(coords) if c)
         return steps
-
-
-@lru_cache(maxsize=None)
-def translations(spec: GroupSpec) -> _Translations:
-    """Per element id a, the rotations that turn a bitmask (bit x = element
-    id x) into the mask of its translate by a: applied in turn, each maps
-    mask to ((mask & lo) << up) | ((mask & hi) >> down)."""
-    return _Translations(spec)
 
 
 def sumset(spec: GroupSpec, a: int, b: int) -> int:
     """A + B = {x + y}; empty if either side is empty."""
     if a.bit_count() > b.bit_count():
         a, b = b, a
-    steps = translations(spec)
+    steps = spec.translations
     out = 0
     while a:
         low = a & -a
@@ -361,7 +355,7 @@ def bipartition(spec: GroupSpec, gens: GeneratorSet) -> Optional[tuple[int, int]
     # an odd coordinate at stride s is bits s..2s-1 of every 2s-bit period;
     # the period divides the order because the factor is even
     odds = [full // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s)
-            for m, s in zip(spec.factors, _strides(spec)) if m % 2 == 0]
+            for m, s in spec.radix if m % 2 == 0]
     for choice in product(*((0, odd) for odd in odds)):
         y = reduce(xor, choice, 0)
         if gens.mask & ~y == 0:

@@ -6,7 +6,9 @@
 - every defaulted parameter of a package function is passed, by keyword or
   by position, by some call there or by the CLI's `verify` dispatch;
 - so is every dataclass field with a plain default (a parameter of the
-  generated `__init__`), unless some code assigns it as an attribute."""
+  generated `__init__`), unless some code assigns it as an attribute;
+- no `functools` cache wraps a function whose first parameter is a
+  `GroupSpec`: per-group data lives on the spec, so no call hashes one."""
 
 import ast
 from pathlib import Path
@@ -151,6 +153,24 @@ def unpassed_parameters(trees: dict[str, ast.Module], code: list[ast.Module],
     return out
 
 
+def spec_keyed_caches(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.function` for each def decorated with `lru_cache` or `cache`
+    whose first parameter is annotated `GroupSpec`, or is unannotated and
+    named `spec` or `group`; for a method, the first one after `self`."""
+    out = []
+    for qualname, _, fn, skip in _functions(trees):
+        if not any(_name(dec) in ("lru_cache", "cache") for dec in fn.decorator_list):
+            continue
+        params = [*fn.args.posonlyargs, *fn.args.args][skip:]
+        if not params:
+            continue
+        first = params[0]
+        if (_name(first.annotation) == "GroupSpec" if first.annotation is not None
+                else first.arg in ("spec", "group")):
+            out.append(qualname)
+    return out
+
+
 def cli_dispatch() -> dict[str, set[str]]:
     """The keywords `cayleycount verify` passes to each sweep: its flags
     under their RENAMES, and `instances` for the --n/--d pair of psi and phi."""
@@ -205,3 +225,20 @@ def test_parameter_scan_finds_an_unpassed_parameter():
         "extra.ExtraCfgZz.unset_zz"]
     assert unpassed_parameters(trees, code, {**cli_dispatch(), "method_zz": {"h"}}) == [
         "extra.extra_zz.c", "extra.ExtraZz.__init__.g", "extra.ExtraCfgZz.unset_zz"]
+
+
+def test_no_cache_is_keyed_by_a_group_spec():
+    assert spec_keyed_caches(_trees()) == []
+
+
+def test_cache_scan_finds_a_spec_keyed_cache():
+    trees = _trees()
+    trees["extra"] = ast.parse(
+        "@lru_cache(maxsize=None)\ndef by_spec_zz(spec: GroupSpec, k: int):\n    pass\n\n\n"
+        "@functools.cache\ndef by_group_zz(group, k):\n    pass\n\n\n"
+        "@lru_cache(maxsize=None)\ndef by_order_zz(order: int):\n    pass\n\n\n"
+        "def uncached_zz(spec: GroupSpec):\n    pass\n\n\n"
+        "class HolderZz:\n    @lru_cache(maxsize=None)\n"
+        "    def method_zz(self, spec: groups.GroupSpec):\n        pass\n")
+    assert spec_keyed_caches(trees) == [
+        "extra.by_spec_zz", "extra.by_group_zz", "extra.HolderZz.method_zz"]

@@ -1,4 +1,5 @@
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from cayleycount.groups import (
     GeneratorSet,
     bipartition,
     coords_to_id,
-    elements,
     enumerate_abelian_groups,
     id_to_coords,
     iter_bits,
@@ -43,6 +43,15 @@ def test_make_group_rejects_degenerate_factors():
         make_group([])
     with pytest.raises(InvalidGroupError):
         make_group([0])
+
+
+def test_group_spec_rejects_factors_outside_an_invariant_factor_chain():
+    with pytest.raises(InvalidGroupError):
+        groups.GroupSpec((4, 2))
+    with pytest.raises(InvalidGroupError):
+        groups.GroupSpec((2, 3))
+    assert groups.GroupSpec((2, 4)) == make_group([4, 2])
+    assert groups.GroupSpec((2, 2, 6)) == make_group([6, 2, 2])
 
 
 def test_make_group_canonicalizes_isomorphic_presentations():
@@ -245,9 +254,67 @@ def test_bipartition_is_the_first_homomorphism_in_lexicographic_order(spec, data
     assert bipartition(spec, GeneratorSet(spec, d_ids)) == _first_homomorphism(spec, d_ids)
 
 
+def _elements(spec):
+    """All elements in id order (lexicographic coordinates)."""
+    return list(product(*(range(m) for m in spec.factors)))
+
+
+def _coords(spec, eid):
+    """Mixed-radix digits of an id, last factor least significant."""
+    out = []
+    for m in reversed(spec.factors):
+        eid, digit = divmod(eid, m)
+        out.append(digit)
+    return tuple(reversed(out))
+
+
+def _check_arithmetic(spec, pairs):
+    """add_ids and neg_id against coordinate arithmetic on the given pairs."""
+    ids = {e: i for i, e in enumerate(_elements(spec))}
+    for a, b in pairs:
+        ca, cb = _coords(spec, a), _coords(spec, b)
+        total = tuple((x + y) % m for x, y, m in zip(ca, cb, spec.factors))
+        assert groups.add_ids(spec, a, b) == ids[total]
+        assert groups.neg_id(spec, a) == ids[tuple(-x % m for x, m in zip(ca, spec.factors))]
+
+
+def test_arithmetic_matches_coordinates_on_every_pair_up_to_order_64():
+    for order in range(2, 65):
+        for spec in enumerate_abelian_groups(order):
+            _check_arithmetic(spec, product(range(order), repeat=2))
+
+
+# orders 65-1024: elementary 2-groups up to Z2^10, mixed groups such as
+# Z2xZ2xZ6, and cyclic groups
+larger_groups = st.one_of(
+    st.integers(7, 10).map(lambda k: make_group([2] * k)),
+    st.lists(st.sampled_from([2, 3, 4, 6, 8, 12, 16]), min_size=2, max_size=5)
+    .filter(lambda factors: 65 <= prod(factors) <= 1024).map(make_group),
+    st.integers(65, 1024).map(lambda n: make_group([n])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(larger_groups, st.data())
+def test_arithmetic_matches_coordinates_on_larger_groups(spec, data):
+    ids = st.integers(0, spec.order - 1)
+    _check_arithmetic(spec, data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=40)))
+
+
+def test_equal_specs_built_separately_agree():
+    first, second = groups.GroupSpec((2, 4, 8)), make_group([8, 4, 2])
+    assert first == second and first is not second
+    a, b = mask_of([1, 9, 30]), mask_of([0, 5, 17, 63])
+    assert sumset(first, a, b) == sumset(second, a, b)
+    for x in range(first.order):
+        assert groups.neg_id(first, x) == groups.neg_id(second, x)
+        for y in range(first.order):
+            assert groups.add_ids(first, x, y) == groups.add_ids(second, x, y)
+
+
 def test_coords_id_roundtrip():
     spec = make_group([2, 3, 4])
-    for eid, coords in enumerate(elements(spec)):
+    for eid, coords in enumerate(_elements(spec)):
         assert coords_to_id(spec, coords) == eid
         assert id_to_coords(spec, eid) == coords
 
