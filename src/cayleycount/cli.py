@@ -27,6 +27,7 @@ from .constructions import (
 from .errors import (
     CayleyCountError,
     InstanceTooLargeError,
+    InvalidInputError,
     InvariantViolation,
     SearchSpaceTooLargeError,
 )
@@ -59,8 +60,11 @@ def _report_header(args: argparse.Namespace) -> dict:
 
 def _emit(args: argparse.Namespace, payload: str) -> None:
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -73,16 +77,19 @@ def _usage(message: str) -> int:
 def _parse_generators(spec: groups.GroupSpec, text: str, symmetrize: bool) -> GeneratorSet:
     text = text.strip()
     ids: set[int] = set()
-    if "(" in text:
-        chunks = text.replace(" ", "").strip(",")
-        for part in chunks.split("),"):
-            coords = tuple(int(x) for x in part.strip("()").split(","))
-            ids.add(groups.coords_to_id(spec, coords))
-    else:
-        if len(spec.factors) != 1:
-            raise CayleyCountError(
-                "plain residues only work for cyclic groups; use coordinate tuples")
-        ids = {int(x) % spec.order for x in text.split(",")}
+    try:
+        if "(" in text:
+            chunks = text.replace(" ", "").strip(",")
+            for part in chunks.split("),"):
+                coords = tuple(int(x) for x in part.strip("()").split(","))
+                ids.add(groups.coords_to_id(spec, coords))
+        else:
+            if len(spec.factors) != 1:
+                raise CayleyCountError(
+                    "plain residues only work for cyclic groups; use coordinate tuples")
+            ids = {int(x) % spec.order for x in text.split(",")}
+    except ValueError as exc:
+        raise CayleyCountError(f"generators must be integers, got {text!r}") from exc
     if symmetrize:
         ids = set(groups.symmetrize(spec, ids))
     return GeneratorSet(spec, ids)
@@ -118,8 +125,15 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def _load_graph(path: str):
-    with open(path) as fh:
-        return graph_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:
+        # a JSON syntax error, bytes that are not text, or nesting too deep
+        raise InvalidInputError(f"{path} is not a JSON graph file: {exc}") from exc
+    return graph_from_json(data)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -180,9 +194,10 @@ def cmd_containers(args: argparse.Namespace) -> int:
     violation = False
     for idx, rec in enumerate(counting.enumerate_small_2linked_closed(graph, args.side)):
         bc = containers.boundary_container(graph, rec)
-        # the sampler checks F and raises InvariantViolation on an invalid one
+        # the sampler checks F and raises InvariantViolation on an invalid
+        # one, so F is checked once, and psi_approx need not check it again
         f_mask, rep = containers.phi_approx_sample(graph, rec, bc.c_mask, args.seed)
-        psi = containers.psi_approx(graph, rec, f_mask)
+        psi = containers.psi_approx(graph, rec, f_mask, checked=True)
         psi_rep = containers.check_psi(graph, rec, psi)
         size_flag = ("skipped" if psi_rep.size_bound_ok is None
                      else str(psi_rep.size_bound_ok).lower())
@@ -229,6 +244,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (InstanceTooLargeError, SearchSpaceTooLargeError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    if not result.checked:
+        return _usage(f"verify {suite}: these caps leave nothing to check")
     payload = {
         "suite": args.suite,
         "passed": result.passed,

@@ -23,7 +23,7 @@ from .errors import (
     UncoverableError,
 )
 from .graphs import CayleyGraph, ClosedSetRecord, Graph, bits_list, closure, iter_bits, mask_of
-from .sumsets import chain_witness_search
+from .sumsets import ChainWitness, chain_witness_search
 
 
 def regular_degree(graph: Graph) -> int:
@@ -342,8 +342,14 @@ class PsiApprox:
     f_mask: int
 
 
-def psi_approx(graph: Graph, rec: ClosedSetRecord, f_mask: int) -> PsiApprox:
+def psi_approx(graph: Graph, rec: ClosedSetRecord, f_mask: int, *,
+               checked: bool = False) -> PsiApprox:
     """Refine a phi-approximation into a (S, F) psi-approximation.
+
+    F must be a phi-approximation of the record: it is checked with
+    `check_phi`, and InvalidInputError raised if it fails, unless `checked`
+    says the caller holds F from `phi_approx_sample` for this very record,
+    which has just run the same check.
 
     Loop 1 grows F by the full neighborhood of the least closure vertex that
     still has psi neighbors outside F.  S then starts as every X-vertex with
@@ -355,7 +361,7 @@ def psi_approx(graph: Graph, rec: ClosedSetRecord, f_mask: int) -> PsiApprox:
     """
     d = regular_degree(graph)
     params = ApproxParams.for_degree(d)
-    if not check_phi(graph, rec, f_mask, params):
+    if not checked and not check_phi(graph, rec, f_mask, params):
         raise InvalidInputError("input F is not a phi-approximation")
     psi = params.psi
     adj = graph.adj
@@ -428,6 +434,12 @@ class BoundaryContainer:
     core: int = 0                   # the trimmed closed subset of the closure
 
 
+def _untrimmed(chain: ChainWitness) -> bool:
+    """The chain removed nothing from M and reached level 2, so its level
+    sums M + 2D and M + 3D are N^2(M) and N^3(M) on the Cayley graph."""
+    return chain.chain[-1] == chain.chain[0] and len(chain.sums) > 2
+
+
 def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryContainer:
     """Assemble a per-record container C covering the boundary G' from
     greedy covers of the structured ingredient pieces.
@@ -439,6 +451,13 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryCont
     of G' is deterministic and checked.  When the parameters degenerate
     (small degree), the trivially valid C = G' is returned instead.  The
     chain constant is c = log^2 d.
+
+    N^2 and N^3 of the core and of the trimmed outside set M' come from
+    their chain searches, whose level sums M + (i+1)D are exactly the
+    iterated neighborhoods N^(i+1)(M) on a Cayley graph: when a chain
+    removes nothing, its end is its start, and neither re-closing nor a
+    neighborhood is computed again.  Only a chain that trimmed its set has
+    its end re-closed (the core) and its neighborhoods formed.
     """
     if graph.parts is None or not graph.is_connected():
         raise InvalidInputError("boundary container needs a connected bipartite graph")
@@ -459,27 +478,37 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryCont
     y_side = graph.full_mask() & ~x_side
     powers, c, c_out = graph.chain_inputs()
 
-    # trim the closure to a core with controlled growth, then re-close it
+    # trim the closure to a core with controlled growth
     chain = chain_witness_search(spec, rec.closure, powers, c, mode="greedy")
-    # [core] lies inside [A], because N(core) lies inside G
-    core_rec = closure(graph, chain.chain[-1], x_side)
+    if _untrimmed(chain):
+        # the core is [A] itself, with N^2 and N^3 the level sums
+        core_rec, (n2_core, n3_core) = rec, chain.sums[1:3]
+    else:
+        # re-close the core; [core] lies inside [A], because N(core) lies
+        # inside G, and N(core) = G_core, since a closure has the
+        # neighborhood of what it closes
+        core_rec = closure(graph, chain.chain[-1], x_side)
+        n2_core = graph.nbhd(core_rec.nbhd)
+        n3_core = graph.nbhd(n2_core)
     core, g_core = core_rec.closure, core_rec.nbhd
 
-    # N(core) = G_core, since a closure has the neighborhood of what it closes
-    n2_core = graph.nbhd(g_core)
     a0 = n2_core & ~core
-    g0 = graph.nbhd(n2_core) & ~g_core
+    g0 = n3_core & ~g_core
     heavy = graph.heavy(core_rec.boundary, a0, d / 2)
     light = core_rec.boundary & ~heavy
     z2 = neighborhood_cover(graph, heavy, a0)
 
     outside = y_side & ~g_core
-    m_prime = outside
+    m_prime = n2_m = n3_m = 0
     if outside:
         chain_out = chain_witness_search(spec, outside, powers[:3], c_out, mode="greedy")
         m_prime = chain_out.chain[-1]
-    n2_m = graph.nbhd_iter(m_prime, 2)
-    a2 = graph.nbhd(n2_m) & core
+        if _untrimmed(chain_out):
+            n2_m, n3_m = chain_out.sums[1:3]
+        else:
+            n2_m = graph.nbhd_iter(m_prime, 2)
+            n3_m = graph.nbhd(n2_m)
+    a2 = n3_m & core
     reachable = light & n2_m
     z3 = neighborhood_cover(graph, reachable, a2)
 

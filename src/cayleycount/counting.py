@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import InstanceTooLargeError, InvalidInputError
-from .graphs import ClosedSetRecord, Graph, bits_list, iter_bits, mask_of
+from .graphs import CayleyGraph, ClosedSetRecord, Graph, bits_list, closure, iter_bits, mask_of
+from .groups import add_ids, neg_id, sumset
 
 DEFAULT_BRANCHING_BUDGET = 64
 DEFAULT_BRUTEFORCE_BUDGET = 26
@@ -164,9 +165,10 @@ def lucas_number(n: int) -> int:
 # -- small 2-linked closed sets ---------------------------------------------------
 
 
-def enumerate_small_2linked_closed(graph: Graph, side: str = "X") -> Iterator[ClosedSetRecord]:
+def enumerate_small_2linked_closed(graph: Graph, side: str = "X",
+                                   root: Optional[int] = None) -> Iterator[ClosedSetRecord]:
     """All closed ([A] = A), 2-linked, small sets on one side, each exactly
-    once.
+    once; with `root`, only those that contain the vertex `root`.
 
     States are closed 2-linked sets; children are closures of a state plus
     one square-graph neighbor.  Every closed 2-linked set is reachable this
@@ -186,17 +188,31 @@ def enumerate_small_2linked_closed(graph: Graph, side: str = "X") -> Iterator[Cl
     of those has a neighbor in N(v) \\ G.  The empty root is not closed
     when a side vertex is isolated (an isolated vertex lies in every
     closure), so its children are closed from scratch.
+
+    A walk with `root` starts from the state [root] instead of the empty
+    root.  A closed 2-linked set S that contains the root is still reached:
+    each state T < S has a square-graph neighbor v in S, and [T + v] lies
+    in S, contains the root and is 2-linked.
     """
     if graph.parts is None:
         raise InvalidInputError("enumeration requires a bipartite graph")
     side_mask = graph.parts[0] if side == "X" else graph.parts[1]
     n = side_mask.bit_count()
     adj = graph.adj
+    # (state, N(state)); the empty state's children are the single-vertex
+    # closures, and the empty state is no state of the budget
+    if root is None:
+        queue, empty = [(0, 0)], 1
+    else:
+        if not adj[root]:
+            raise InvalidInputError(f"root {root} has no neighbor, so it lies in every closure")
+        start = closure(graph, 1 << root, side_mask)
+        if not start.small:
+            return
+        queue, empty = [(start.closure, start.nbhd)], 0
     seen: set[int] = set()      # the neighborhoods of the children closed so far
-    # (state, N(state)); the empty state's children are the single-vertex closures
-    queue = [(0, 0)]
     for state, g in queue:
-        if len(queue) - 1 > ENUM_STATE_BUDGET:     # the empty root is no state
+        if len(queue) - empty > ENUM_STATE_BUDGET:
             raise InstanceTooLargeError("closed-set enumeration exceeded state budget")
         if state:
             # a state is closed, so its record's closure is the state itself
@@ -281,17 +297,55 @@ class ContainerTable:
         return sorted((a, g, g - a, c) for (a, g), c in self.entries.items())
 
 
+def orbit_representatives(graph: CayleyGraph,
+                          side: str = "X") -> Iterator[tuple[ClosedSetRecord, int]]:
+    """One record per orbit of the side's translations among the small
+    2-linked closed sets, with the orbit's size.
+
+    The bipartition's kernel H acts on each side by translation, regularly,
+    and a translation preserves N, the closure, 2-linkage, (a, g) and the
+    preimage count.  The walk takes the sets that contain the side's least
+    vertex r (the identity on X); an orbit meets them in the translates
+    A - a + r, a in A.  A is the orbit's representative iff its mask is the
+    least of these, and the number of them equal to A is |Stab(A)|, so the
+    orbit has n / |Stab(A)| sets, n = |H| the side size.
+    """
+    side_mask = graph.parts[0] if side == "X" else graph.parts[1]
+    n = side_mask.bit_count()
+    spec = graph.group
+    r = (side_mask & -side_mask).bit_length() - 1
+    for rec in enumerate_small_2linked_closed(graph, side, r):
+        state = rec.closure
+        stabilizer = 0
+        for a in iter_bits(state):
+            image = sumset(spec, state, 1 << add_ids(spec, r, neg_id(spec, a)))
+            if image < state:
+                break
+            stabilizer += image == state
+        else:
+            yield rec, n // stabilizer
+
+
 def container_table(graph: Graph, side: str = "X") -> ContainerTable:
+    """The exact (a, g) table of one side's small 2-linked sets: per bucket,
+    `entries` counts the sets and `closed_entries` their closures.
+
+    Each closed set adds its preimage count (`count_closure_preimages`) to
+    its bucket.  On a `CayleyGraph` the closed sets come one per
+    translation orbit (`orbit_representatives`), each weighted by its
+    orbit's size n / |Stab(A)|; any other graph walks every closed set."""
     if graph.parts is None:
         raise InvalidInputError("container table requires a bipartite graph")
     side_mask = graph.parts[0] if side == "X" else graph.parts[1]
     table = ContainerTable(n=side_mask.bit_count())
-    for rec in enumerate_small_2linked_closed(graph, side):
+    weighted = (orbit_representatives(graph, side) if isinstance(graph, CayleyGraph)
+                else ((rec, 1) for rec in enumerate_small_2linked_closed(graph, side)))
+    for rec, weight in weighted:
         key = (rec.a, rec.g)
-        table.closed_entries[key] = table.closed_entries.get(key, 0) + 1
+        table.closed_entries[key] = table.closed_entries.get(key, 0) + weight
         cnt = count_closure_preimages(graph, rec)
         if cnt:
-            table.entries[key] = table.entries.get(key, 0) + cnt
+            table.entries[key] = table.entries.get(key, 0) + weight * cnt
     return table
 
 

@@ -157,9 +157,12 @@ def _partitions(n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_abelian_groups(order: int) -> list[GroupSpec]:
     """One GroupSpec per isomorphism class of Abelian groups of the order.
 
-    A fresh list on every call; the classes are computed once per order."""
+    A fresh list on every call; the classes are computed once per order.
+    An order above MAX_ORDER is refused before it is factored."""
     if order < 2:
         raise InvalidGroupError("order must be >= 2")
+    if order > MAX_ORDER:
+        raise InstanceTooLargeError(f"group order {order} exceeds the size budget {MAX_ORDER}")
     return list(_abelian_groups(order))
 
 

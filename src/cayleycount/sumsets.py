@@ -148,7 +148,14 @@ def olson_check(spec: GroupSpec, m_set: int, n_set: int) -> OlsonReport:
 
 @dataclass
 class ChainWitness:
+    """A chain as far as the search got (all k + 1 sets on success), with
+    its level sums: `sums[i]` is M^(i) + (i+1)D, the sumset whose size the
+    search bounded at level i (at level 0, the M + D that gives t).  On a
+    Cayley graph with generators D, M + iD is the i-th neighborhood N^i(M).
+    """
+
     chain: list[int]                 # M = M^(0) >= M^(1) >= ... >= M^(k)
+    sums: list[int]                  # M^(i) + (i+1)D, one per chain set
     success: bool
     mode: str                        # "exhaustive" or "greedy"
     t: int
@@ -180,7 +187,9 @@ def chain_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int],
     Exhaustive mode proves existence on small instances (|M| <= CHAIN_CAP);
     greedy mode (repeatedly drop the element whose removal shrinks the
     iterated sumset most) reports success or failure without an existence
-    guarantee.
+    guarantee.  Both return the level sums M^(i) + (i+1)D they formed to
+    test the bounds (`ChainWitness.sums`), with no sumset formed for them
+    alone.
     """
     if not m_set or not powers or not powers[0]:
         raise InvalidInputError("M and D must be nonempty")
@@ -195,7 +204,8 @@ def chain_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int],
     if c_frac < 4:
         raise InvalidInputError("c must be >= 4")
     m = m_set.bit_count()
-    t = sumset(spec, m_set, powers[0]).bit_count() - m
+    m_sum = sumset(spec, m_set, powers[0])
+    t = m_sum.bit_count() - m
     if t < 0:
         raise InvalidInputError("|M + D| < |M|: chain precondition violated")
     budget = t * c_frac.denominator // c_frac.numerator
@@ -206,41 +216,45 @@ def chain_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int],
     # rhs[i] is the level-i bound, floored since lhs is an integer
     rhs = [_chain_bound(m, i, c_frac, t) for i in range(k + 1)]
 
-    def level_ok(subset: int, i: int) -> Optional[tuple[int, int]]:
-        lhs = sumset(spec, subset, powers[i]).bit_count()
-        return (lhs, rhs[i]) if lhs <= rhs[i] else None
+    def level_sum(subset: int, i: int) -> Optional[int]:
+        """subset + (i+1)D if it meets the level-i bound, else None."""
+        total = sumset(spec, subset, powers[i])
+        return total if total.bit_count() <= rhs[i] else None
 
     if mode == "exhaustive":
-        def dfs(current: int, level: int) -> Optional[list[tuple[int, tuple[int, int, int]]]]:
-            """(set, bound) for levels level..k below `current`, or None."""
+        def dfs(current: int, level: int) -> Optional[list[tuple[int, int]]]:
+            """(set, level sum) for levels level..k below `current`, or None."""
             if level > k:
                 return []
             bits = [1 << x for x in iter_bits(current)]
             for removed in range(budget + 1):
                 for drop in combinations(bits, removed):
                     cand = current ^ sum(drop)
-                    chk = level_ok(cand, level)
-                    rest = None if chk is None else dfs(cand, level + 1)
+                    total = level_sum(cand, level)
+                    rest = None if total is None else dfs(cand, level + 1)
                     if rest is not None:
-                        return [(cand, (level, *chk))] + rest
+                        return [(cand, total)] + rest
             return None
 
         found = dfs(m_set, 1)
         steps = found or []
-        return ChainWitness([m_set] + [s for s, _ in steps], found is not None,
-                            "exhaustive", t, [b for _, b in steps])
+        return ChainWitness([m_set] + [s for s, _ in steps], [m_sum] + [x for _, x in steps],
+                            found is not None, "exhaustive", t,
+                            [(i, x.bit_count(), rhs[i]) for i, (_, x) in enumerate(steps, 1)])
 
     # greedy
     chain = [m_set]
+    sums = [m_sum]
     bounds = []
     current = m_set
     success = True
     for level in range(1, k + 1):
         removed = 0
         while True:
-            chk = level_ok(current, level)
-            if chk is not None:
-                bounds.append((level, chk[0], chk[1]))
+            total = level_sum(current, level)
+            if total is not None:
+                sums.append(total)
+                bounds.append((level, total.bit_count(), rhs[level]))
                 break
             if removed >= budget or current.bit_count() <= 1:
                 success = False
@@ -253,7 +267,7 @@ def chain_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int],
         if not success:
             break
         chain.append(current)
-    return ChainWitness(chain, success, "greedy", t, bounds)
+    return ChainWitness(chain, sums, success, "greedy", t, bounds)
 
 
 # -- generator thinning -------------------------------------------------------------

@@ -313,6 +313,8 @@ def sweep_growth(trials: int = 10000, max_order: int = 64, seed: int = 0) -> Swe
     """Random instances of the iterated-growth bound |M + iD| <= m + d^i t
     for 2 <= i <= 3.  D is drawn symmetric (optionally containing 0),
     matching the setting in which the bound is a theorem."""
+    if max_order < 2:
+        raise InvalidInputError(f"growth draws groups of order 2..max_order, got {max_order}")
     res = SweepResult("growth")
     rng = random.Random(f"growth:{seed}")
     for _ in range(trials):
@@ -348,11 +350,11 @@ def sweep_thinning(seeds: int = 100) -> SweepResult:
     gens = GeneratorSet(spec, groups.symmetrize(spec, range(1, 65)))
     exact_ok = window_ok = doubling_ok = 0
     for seed in range(seeds):
+        res.checked += 1
         _, rep = sumsets.thin_generators(spec, gens, sumsets.ThinningConfig(2.0, seed))
         exact_ok += rep.generating and rep.symmetric
         window_ok += rep.in_window
         doubling_ok += rep.doubling_ok
-    res.checked = seeds
     res.details.update(exact=exact_ok, window=window_ok, doubling=doubling_ok)
     if exact_ok < seeds or window_ok < 0.9 * seeds or doubling_ok < 0.9 * seeds:
         res.violations += 1

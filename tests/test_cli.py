@@ -3,8 +3,11 @@ import inspect
 import json
 import os
 
-from cayleycount import counting, verify
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cayleycount import containers, counting, verify
 from cayleycount.cli import RENAMES, SUITE_FLAGS, main
+from cayleycount.graphs import graph_from_json
 
 
 def run_cli(args, capsys):
@@ -92,6 +95,13 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 3  # not symmetric without --symmetrize
     code, _, _ = run_cli(["build", "--group", "Z6"], capsys)
     assert code == 3
+    # generators that are not integers, and a growth sweep with no group order to draw
+    for argv in (["build", "--group", "Z8", "--gens", "x"],
+                 ["build", "--group", "Z2xZ4", "--gens", "(1,x)"],
+                 ["verify", "growth", "--trials", "1", "--max-order", "1"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert err.startswith("error:"), argv
     # argparse errors map to the usage code too, not to 2 (budget exceeded)
     # --format belongs to `table` alone
     for argv in (["verify", "no-such-suite"], ["count"], ["verify", "psi", "--d", "x"],
@@ -138,6 +148,39 @@ def test_invalid_graph_json(tmp_path, capsys):
         code, _, err = run_cli(["count", str(gpath)], capsys)
         assert code == 3, name
         assert err.startswith("error:"), name
+
+
+def test_bad_files_are_usage_errors(tmp_path, capsys):
+    # a missing graph, a directory, a file that is not JSON (text, bytes, and
+    # nesting too deep for the parser), and an output path that cannot be written
+    text, binary, deep = tmp_path / "notes.txt", tmp_path / "blob.bin", tmp_path / "deep.json"
+    text.write_text("not a graph\n")
+    binary.write_bytes(b"\xff\xfe\x00\x81")
+    deep.write_text("[" * 100_000)
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"vcount": 2, "edges": [[0, 1]]}))
+    for argv in (["count", str(tmp_path / "missing.json")],
+                 ["count", str(tmp_path)],
+                 ["table", str(text)],
+                 ["dump-edges", str(binary)],
+                 ["count", str(deep)],
+                 ["build", "--group", "Z4", "--gens", "1,3", "-o", "/nonexistent_dir/x.json"],
+                 ["count", str(gpath), "-o", str(tmp_path)],
+                 ["verify", "kdd", "-o", str(tmp_path / "no" / "such" / "dir.json")]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert err.startswith("error:") and len(err.splitlines()) == 1, (argv, err)
+        assert out == "", argv
+
+
+def test_verify_with_nothing_to_check_is_a_usage_error(capsys):
+    for argv in (["verify", "chain", "--max-order", "1"], ["verify", "thinning", "--trials", "0"],
+                 ["verify", "lovasz-stein", "--trials", "0"],
+                 ["verify", "growth", "--trials", "-1"], ["verify", "psi", "--n", "4", "--d", "3"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert f"verify {argv[1]}: these caps leave nothing to check" in err, argv
+        assert out == "" and "FAIL" not in err, argv
 
 
 def test_symmetrize_flag(tmp_path, capsys):
@@ -212,24 +255,54 @@ def test_containers_dump(tmp_path, capsys):
     assert all(",true," in line for line in lines[1:])
 
 
-# sha256 of the reference circulant step's CSVs.  Enumeration, preimage
-# counts and the boundary container reuse sets they computed earlier; these
-# digests hold them to the bytes of the from-scratch computation.
+def test_containers_checks_each_f_once(tmp_path, capsys, monkeypatch):
+    gpath = str(tmp_path / "g.json")
+    run_cli(["build", "odd-circulant", "--n", "16", "--d", "5", "-o", gpath], capsys)
+    checks = []
+    check_phi = containers.check_phi
+
+    def counted(*args):
+        checks.append(args[1])
+        return check_phi(*args)
+
+    monkeypatch.setattr(containers, "check_phi", counted)
+    code, out, _ = run_cli(["containers", gpath], capsys)
+    assert code == 0
+    records = list(counting.enumerate_small_2linked_closed(graph_from_json(json.load(open(gpath))),
+                                                          "X"))
+    assert len(out.splitlines()) == len(records) + 1
+    assert checks == records
+
+
+# sha256 of the CSVs of the reference circulant step and of two more table
+# runs: the Y side, and a non-cyclic group whose orbits have stabilizers.
+# Enumeration, preimage counts, the orbit-reduced table and the boundary
+# container reuse sets they computed earlier; these digests hold them to the
+# bytes of the from-scratch computation.
+NON_CYCLIC = ("--group", "Z2xZ2xZ8", "--gens", "(1,0,0),(0,1,0),(0,0,1),(0,0,7),(1,0,2),(1,0,6)")
+OC_20_5 = ("odd-circulant", "--n", "20", "--d", "5")
+OC_40_9 = ("odd-circulant", "--n", "40", "--d", "9")
 PINNED_CSV = {
-    ("table", 20, 5, None): "7055b67e924308dc2fef17cc9db017abb685a7aa4a62eb8f93e8d376c360869a",
-    ("containers", 40, 9, 1): "68f2ce290c5bdd1e6bf60d69887ffdd861b0db56d988b4064697640cbaf411ef",
-    ("containers", 40, 9, 2): "68f2ce290c5bdd1e6bf60d69887ffdd861b0db56d988b4064697640cbaf411ef",
+    (OC_20_5, ("table",)): "7055b67e924308dc2fef17cc9db017abb685a7aa4a62eb8f93e8d376c360869a",
+    (OC_20_5, ("table", "--side", "Y")):
+        "7055b67e924308dc2fef17cc9db017abb685a7aa4a62eb8f93e8d376c360869a",
+    (NON_CYCLIC, ("table",)): "3cf756b8f6885ad8aac174acc478147d7b5871a95a3b658d9f463e0a3d608cba",
+    (NON_CYCLIC, ("table", "--side", "Y")):
+        "3cf756b8f6885ad8aac174acc478147d7b5871a95a3b658d9f463e0a3d608cba",
+    (OC_40_9, ("containers", "--seed", "1")):
+        "68f2ce290c5bdd1e6bf60d69887ffdd861b0db56d988b4064697640cbaf411ef",
+    (OC_40_9, ("containers", "--seed", "2")):
+        "68f2ce290c5bdd1e6bf60d69887ffdd861b0db56d988b4064697640cbaf411ef",
 }
 
 
 def test_circulant_step_outputs_are_pinned(tmp_path, capsys):
-    for (command, n, d, seed), digest in PINNED_CSV.items():
-        gpath, out = str(tmp_path / f"oc{n}_{d}.json"), tmp_path / f"{command}.csv"
-        run_cli(["build", "odd-circulant", "--n", str(n), "--d", str(d), "-o", gpath], capsys)
-        seeded = [] if seed is None else ["--seed", str(seed)]
-        code, _, _ = run_cli([command, gpath, *seeded, "-o", str(out)], capsys)
+    for (build, (command, *flags)), digest in PINNED_CSV.items():
+        gpath, out = str(tmp_path / "g.json"), tmp_path / f"{command}.csv"
+        assert run_cli(["build", *build, "-o", gpath], capsys)[0] == 0
+        code, _, _ = run_cli([command, gpath, *flags, "-o", str(out)], capsys)
         assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (command, n, d, seed)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (build, command, flags)
 
 
 def test_dump_edges(tmp_path, capsys):
@@ -266,7 +339,8 @@ def test_oversized_inputs_hit_the_size_budget(tmp_path, capsys):
     # a ring of 2t(4d - 2) vertices, and a group order checked before factoring
     for argv in (["build", "--group", "Z100000000", "--gens", "1,99999999"],
                  ["build", "gadget-ring", "--d", "3", "--t", "100000000"],
-                 ["build", "--group", "Z2305843009213693951", "--gens", "1,2305843009213693950"]):
+                 ["build", "--group", "Z2305843009213693951", "--gens", "1,2305843009213693950"],
+                 ["verify", "growth", "--trials", "1", "--max-order", str(10**18)]):
         code, _, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert "budget" in err, argv
@@ -279,3 +353,126 @@ def test_enumeration_state_budget(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(["table", gpath], capsys)
     assert code == 2
     assert "budget" in err and out == ""
+
+
+# -- fuzzing ----------------------------------------------------------------------
+
+# Sizes: small ones that run, and negative and huge ones that must be refused
+SIZES = st.one_of(st.integers(-3, 12), st.sampled_from([10**6, 2**62, 10**30]))
+JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def graph_documents(draw):
+    """JSON documents for a graph file: well-formed small graphs, and the
+    same shapes with wrong types, wrong shapes and out-of-range sizes."""
+    kind = draw(st.sampled_from(("edges", "group", "junk")))
+    if kind == "junk":
+        return draw(st.one_of(JUNK, st.lists(JUNK, max_size=3)))
+    if kind == "edges":
+        vcount = draw(st.one_of(st.integers(0, 10), SIZES, JUNK))
+        ids = st.one_of(st.integers(-1, 10), JUNK)
+        doc = {"vcount": vcount,
+               "edges": draw(st.one_of(st.lists(st.lists(ids, min_size=1, max_size=3),
+                                                max_size=12), JUNK))}
+        if draw(st.booleans()):
+            doc["parts"] = draw(st.one_of(st.lists(st.lists(ids, max_size=6), max_size=3),
+                                          st.just([[0, 2, 4], [1, 3, 5]]), JUNK))
+        return doc
+    factors = draw(st.one_of(st.lists(st.one_of(st.integers(-1, 8), st.just(10**7)),
+                                      min_size=1, max_size=2), JUNK))
+    width = len(factors) if isinstance(factors, list) else 1
+    coords = draw(st.lists(st.lists(st.one_of(st.integers(-9, 9), JUNK), min_size=width,
+                                    max_size=width), max_size=3))
+    if draw(st.booleans()):         # often symmetric, so that a graph gets built
+        coords += [[-x if type(x) is int else x for x in c] for c in coords]
+    return {"group": {"factors": factors}, "generators": coords}
+
+
+def _verify_argv(draw):
+    """A suite with caps small enough to run in milliseconds, or values that
+    must be refused at once.  The caps are always given, since the defaults
+    run for seconds; psi and phi sometimes get half of their pair, and
+    lucas a flag it does not take."""
+    small = st.integers(-2, 3)
+    suite, flags = draw(st.sampled_from((
+        ("chain", {"--max-order": small}), ("olson", {"--max-order": small}),
+        ("prp", {"--max-order": small}), ("zhao", {"--max-vertices": small}),
+        ("thinning", {"--trials": st.integers(-2, 1)}),
+        ("lovasz-stein", {"--trials": small}),
+        ("growth", {"--trials": st.integers(-2, 2),
+                    "--max-order": st.one_of(st.integers(-2, 64), SIZES)}),
+        ("psi", {"--n": st.integers(-1, 10), "--d": st.integers(-1, 5)}),
+        ("phi", {"--n": st.integers(-1, 10), "--d": st.integers(-1, 5)}),
+        ("odd-circulant", {"--n": st.integers(-1, 8), "--d": st.integers(-1, 5)}),
+        ("kdd", {}), ("lucas", {"--n": small}))))
+    argv = ["verify", suite]
+    for flag, values in flags.items():
+        argv += [flag, str(draw(values))]
+    if suite in ("psi", "phi") and draw(st.booleans()):
+        del argv[-2:]
+    return argv
+
+
+def _build_argv(draw):
+    kind = draw(st.sampled_from(("gadget-ring", "odd-circulant", "group")))
+    if kind == "gadget-ring":
+        return ["build", kind, "--d", str(draw(st.sampled_from([-1, 2, 3, 10**6]))),
+                "--t", str(draw(st.one_of(st.integers(-1, 2), st.just(10**9))))]
+    if kind == "odd-circulant":
+        return ["build", kind, "--n", str(draw(SIZES)), "--d",
+                str(draw(st.one_of(st.integers(-1, 7), st.just(10**6 + 1))))]
+    group = draw(st.sampled_from(["Z8", "Z2xZ4", "Z0", "Zx", "Z100000000", '{"factors": [6]}',
+                                  '{"factors": "6"}', "{bad"]))
+    gens = draw(st.sampled_from(["1,7", "(1,0),(1,0)", "(0,1),(0,3)", "1", "x", "(1,", ""]))
+    return ["build", "--group", group, "--gens", gens] + (
+        ["--symmetrize"] if draw(st.booleans()) else [])
+
+
+@st.composite
+def cli_calls(draw, tmp):
+    """(argv, graph document or None) for one call of `cli.main`."""
+    doc = None
+    choice = draw(st.sampled_from(("graph", "graph", "graph", "verify", "build")))
+    if choice == "verify":
+        argv = _verify_argv(draw)
+    elif choice == "build":
+        argv = _build_argv(draw)
+    else:
+        command = draw(st.sampled_from(("count", "table", "containers", "dump-edges")))
+        target = draw(st.sampled_from(("file", "file", "file", "missing", "directory", "text")))
+        doc = draw(graph_documents()) if target == "file" else None
+        path = {"file": tmp / "g.json", "missing": tmp / "missing.json", "directory": tmp,
+                "text": tmp / "notes.txt"}[target]
+        argv = [command, str(path)]
+        if command in ("table", "containers") and draw(st.booleans()):
+            argv += ["--side", draw(st.sampled_from(("X", "Y", "Z")))]
+        if command == "count" and draw(st.booleans()):
+            argv += ["--budget", str(draw(st.one_of(st.integers(-1, 40), SIZES)))]
+        if command == "count" and draw(st.booleans()):
+            argv += ["--brute-budget", str(draw(st.integers(-1, 14)))]
+    if draw(st.booleans()):
+        argv += ["-o", str(draw(st.sampled_from((tmp / "out.txt", tmp / "no" / "out.txt", tmp))))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(("0", "7", "-1", "x")))]
+    return argv, doc
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_never_raises_on_generated_input(tmp_path, capsys, data):
+    # Every input here is wrong or well inside the proven regime, so the
+    # codes are 0 (done), 2 (a size budget) or 3 (usage); a 1 would report a
+    # violation of a fact that holds, and an exception is a traceback
+    (tmp_path / "notes.txt").write_text("not json\n")
+    argv, doc = data.draw(cli_calls(tmp_path))
+    if doc is not None:
+        (tmp_path / "g.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(argv, capsys)
+    assert code in (0, 2, 3), (argv, doc, err)
+    assert "Traceback" not in err
+    if code == 3:
+        assert any(line.startswith(("error:", "usage:", "verify ", "build:", "containers:"))
+                   for line in err.splitlines()), err

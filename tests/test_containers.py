@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from cayleycount.counting import enumerate_small_2linked_closed
 from cayleycount.errors import InvalidInputError, InvariantViolation, UncoverableError
 from cayleycount.graphs import Graph, bits_list, build_cayley, closure, iter_bits, mask_of
 from cayleycount.groups import GeneratorSet, coords_to_id, make_group, symmetrize
-from cayleycount.sumsets import chain_witness_search, iterated_sumset
+from cayleycount.sumsets import chain_witness_search, iterated_sumset, sumset
 from cayleycount.constructions import OddCirculantConfig, build_odd_circulant
 from cayleycount.verify import cycle_graph
 
@@ -360,6 +361,77 @@ def test_boundary_container_core_is_the_closed_chain_end():
             if g.adj[v] & ~g_core == 0:
                 core_closed |= 1 << v
         assert bc.core == core_closed & rec.closure, rec.closure
+
+
+def _boundary_container_by_reclosure(graph, rec):
+    """boundary_container as it was before it read N^2 and N^3 off the
+    chains' level sums: the core re-closed and every neighborhood formed,
+    whatever the chains removed.  The chain search is looked up on the
+    containers module, so a patched search reaches both."""
+    d = regular_degree(graph)
+    spec = graph.group
+    x_side = rec.side
+    y_side = graph.full_mask() & ~x_side
+    powers, c, c_out = graph.chain_inputs()
+    chain = containers.chain_witness_search(spec, rec.closure, powers, c, mode="greedy")
+    core_rec = closure(graph, chain.chain[-1], x_side)
+    core, g_core = core_rec.closure, core_rec.nbhd
+    n2_core = graph.nbhd(g_core)
+    a0 = n2_core & ~core
+    g0 = graph.nbhd(n2_core) & ~g_core
+    heavy = graph.heavy(core_rec.boundary, a0, d / 2)
+    light = core_rec.boundary & ~heavy
+    z2 = containers.neighborhood_cover(graph, heavy, a0)
+    outside = y_side & ~g_core
+    m_prime = outside
+    if outside:
+        chain_out = containers.chain_witness_search(spec, outside, powers[:3], c_out,
+                                                    mode="greedy")
+        m_prime = chain_out.chain[-1]
+    n2_m = graph.nbhd_iter(m_prime, 2)
+    a2 = graph.nbhd(n2_m) & core
+    z3 = containers.neighborhood_cover(graph, light & n2_m, a2)
+    residual = graph.nbhd_iter((outside & ~m_prime) & g0, 2)
+    tail = graph.nbhd(rec.closure & ~core)
+    return graph.nbhd(z2) | graph.nbhd(z3) | residual | tail, core
+
+
+def _non_cyclic_graph():
+    spec = make_group([2, 2, 8])
+    return build_cayley(spec, GeneratorSet(spec, {coords_to_id(spec, c) for c in (
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 7), (1, 0, 2), (1, 0, 6))}))
+
+
+@pytest.mark.parametrize("trimmed", [(), (3,), (2,), (2, 3)])
+def test_boundary_container_matches_the_reclosing_construction(monkeypatch, trimmed):
+    # No chain of a connected bipartite Cayley graph with d >= 4 searched so
+    # far removes an element (odd circulants up to n = 40 and random groups up
+    # to order 128), so the trimmed branch is forced: a search of depth k in
+    # `trimmed` (3 for the core, 2 for M') drops the largest element of M from
+    # every later level.  Its level sums are formed anew, as the search would.
+    search = containers.chain_witness_search
+    trims = []
+
+    def trimming_search(spec, m_set, powers, c, mode):
+        wit = search(spec, m_set, powers, c, mode)
+        if len(powers) - 1 not in trimmed or m_set.bit_count() < 2:
+            return wit
+        top = 1 << (m_set.bit_length() - 1)
+        chain = wit.chain[:1] + [s & ~top for s in wit.chain[1:]]
+        trims.append(len(powers) - 1)
+        return replace(wit, chain=chain,
+                       sums=[sumset(spec, s, powers[i]) for i, s in enumerate(chain)])
+
+    monkeypatch.setattr(containers, "chain_witness_search", trimming_search)
+    cores_cut = 0
+    for graph in (build_odd_circulant(OddCirculantConfig(16, 5)), _non_cyclic_graph()):
+        for side in "XY":
+            for rec in enumerate_small_2linked_closed(graph, side):
+                bc = boundary_container(graph, rec)
+                assert (bc.c_mask, bc.core) == _boundary_container_by_reclosure(graph, rec)
+                cores_cut += bc.core != rec.closure
+    assert set(trims) == set(trimmed)
+    assert (cores_cut > 0) == (3 in trimmed)
 
 
 def test_boundary_container_nondegenerate_instance():

@@ -18,10 +18,12 @@ from cayleycount.counting import (
     count_independent_sets_bruteforce,
     enumerate_small_2linked_closed,
     lucas_number,
+    orbit_representatives,
 )
-from cayleycount.errors import InstanceTooLargeError
+from cayleycount.errors import InstanceTooLargeError, InvalidInputError
 from cayleycount.graphs import Graph, bits_list, closure, iter_bits, mask_of
-from cayleycount.groups import GeneratorSet, coords_to_id, make_group
+from cayleycount.groups import (GeneratorSet, coords_to_id, enumerate_abelian_groups,
+                                id_to_coords, make_group, symmetrize)
 from cayleycount.graphs import build_cayley
 from cayleycount.verify import complete_bipartite_graph, cycle_graph
 
@@ -324,6 +326,69 @@ def test_state_budget_counts_queued_states(graph, side):
                     list(enumerate_small_2linked_closed(graph, side))
             else:
                 assert len(list(enumerate_small_2linked_closed(graph, side))) == states
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_graphs(), st.sampled_from("XY"), st.data())
+def test_rooted_walk_is_the_full_walk_through_the_root(graph, side, data):
+    side_mask = graph.parts[0] if side == "X" else graph.parts[1]
+    linked = [v for v in iter_bits(side_mask) if graph.adj[v]]
+    if not linked:
+        return
+    root = data.draw(st.sampled_from(linked))
+    full = [rec for rec in enumerate_small_2linked_closed(graph, side) if rec.closure >> root & 1]
+    rooted = list(enumerate_small_2linked_closed(graph, side, root))
+    assert sorted(rooted, key=lambda rec: rec.closure) == sorted(full, key=lambda rec: rec.closure)
+
+
+def test_rooted_walk_refuses_an_isolated_root():
+    graph = Graph([0b100, 0, 0b1], parts=(0b011, 0b100))
+    with pytest.raises(InvalidInputError):
+        list(enumerate_small_2linked_closed(graph, "X", 1))
+
+
+@st.composite
+def bipartite_cayley_graphs(draw):
+    """A Cayley graph on an Abelian group of even order <= 64, cyclic or
+    not, whose generators all lie off the kernel of a random map to Z2, so
+    that it is bipartite; it may be disconnected."""
+    order = 2 * draw(st.integers(1, 32))
+    spec = draw(st.sampled_from(enumerate_abelian_groups(order)))
+    evens = [i for i, m in enumerate(spec.factors) if m % 2 == 0]
+    odd_coords = draw(st.sets(st.sampled_from(evens), min_size=1))
+    off_kernel = [x for x in range(order)
+                  if sum(id_to_coords(spec, x)[i] for i in odd_coords) % 2]
+    ids = draw(st.sets(st.sampled_from(off_kernel), min_size=1, max_size=4))
+    return build_cayley(spec, GeneratorSet(spec, symmetrize(spec, ids)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_cayley_graphs(), st.sampled_from("XY"))
+def test_orbit_table_equals_the_full_walk(graph, side):
+    # a plain Graph with the same adjacency takes the full walk, the oracle;
+    # a graph with more closed sets than it can walk quickly is passed over
+    with patch.object(counting, "ENUM_STATE_BUDGET", 2000):
+        try:
+            full = container_table(Graph(graph.adj, graph.parts), side)
+        except InstanceTooLargeError:
+            return
+    orbit = container_table(graph, side)
+    assert orbit.n == full.n
+    assert orbit.entries == full.entries
+    assert orbit.closed_entries == full.closed_entries
+
+
+def test_orbit_weights_count_stabilizers():
+    # Z2 x Z2 x Z8: some closed sets are fixed by one or three translations,
+    # so their orbits have n / |Stab(A)| = 8 or 4 sets, not 16
+    spec = make_group([2, 2, 8])
+    ids = {coords_to_id(spec, c) for c in
+           ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 7), (1, 0, 2), (1, 0, 6))}
+    graph = build_cayley(spec, GeneratorSet(spec, ids))
+    weights = [weight for _, weight in orbit_representatives(graph, "X")]
+    assert sorted(set(weights)) == [4, 8, 16]
+    orbit, full = container_table(graph), container_table(Graph(graph.adj, graph.parts))
+    assert (orbit.entries, orbit.closed_entries) == (full.entries, full.closed_entries)
 
 
 def _preimages_by_subset_loop(graph, rec, require_two_linked):

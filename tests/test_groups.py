@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleycount import groups
-from cayleycount.errors import InvalidGeneratorsError, InvalidGroupError
+from cayleycount.errors import InstanceTooLargeError, InvalidGeneratorsError, InvalidGroupError
 from cayleycount.sumsets import minimal_generating_subset, sumset
 from cayleycount.groups import (
     GeneratorSet,
@@ -98,6 +98,13 @@ def test_enumerate_abelian_groups_returns_a_fresh_list():
     assert [s.factors for s in enumerate_abelian_groups(8)] == [(2, 2, 2), (2, 4), (8,)]
     with pytest.raises(InvalidGroupError):
         enumerate_abelian_groups(1)
+
+
+def test_enumerate_abelian_groups_refuses_a_huge_order_before_factoring_it():
+    # 10**17 + 3 is prime: trial division would run for minutes
+    with pytest.raises(InstanceTooLargeError):
+        enumerate_abelian_groups(10**17 + 3)
+    assert enumerate_abelian_groups(groups.MAX_ORDER)
 
 
 def test_enumerate_abelian_groups_counts_match_partition_oracle():

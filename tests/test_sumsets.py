@@ -201,6 +201,9 @@ def _chain_search_with_d(spec, m_set, d_set, k, c, mode):
         lhs = sumset(spec, subset, powers[i]).bit_count()
         return (lhs, rhs[i]) if lhs <= rhs[i] else None
 
+    def level_sums(chain):
+        return [sumset(spec, s, powers[i]) for i, s in enumerate(chain)]
+
     if mode == "exhaustive":
         def dfs(current, level):
             if level > k:
@@ -217,7 +220,8 @@ def _chain_search_with_d(spec, m_set, d_set, k, c, mode):
 
         found = dfs(m_set, 1)
         steps = found or []
-        return ChainWitness([m_set] + [s for s, _ in steps], found is not None,
+        chain = [m_set] + [s for s, _ in steps]
+        return ChainWitness(chain, level_sums(chain), found is not None,
                             "exhaustive", t, [b for _, b in steps])
     chain, bounds, current, success = [m_set], [], m_set, True
     for level in range(1, k + 1):
@@ -237,7 +241,7 @@ def _chain_search_with_d(spec, m_set, d_set, k, c, mode):
         if not success:
             break
         chain.append(current)
-    return ChainWitness(chain, success, "greedy", t, bounds)
+    return ChainWitness(chain, level_sums(chain), success, "greedy", t, bounds)
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,6 +260,26 @@ def test_chain_search_on_powers_matches_the_search_on_d(order, data):
     c_exact = c if isinstance(c, int) else Fraction(c).limit_denominator(10**6)
     got = chain_witness_search(spec, m_set, chain_powers(spec, d_set, k), c_exact, mode)
     assert got == _chain_search_with_d(spec, m_set, d_set, k, c, mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 64), st.data())
+def test_chain_sums_are_the_level_sumsets(order, data):
+    # greedy searches on sets up to half the group, as the boundary container
+    # runs them; a chain that fails has sums for the sets it reached
+    spec = data.draw(st.sampled_from(enumerate_abelian_groups(order)))
+    mode = data.draw(st.sampled_from(("exhaustive", "greedy")))
+    k = data.draw(st.integers(1, 3))
+    elements = st.integers(0, order - 1)
+    d_set = mask_of(data.draw(st.sets(elements, min_size=1, max_size=6)))
+    m_set = mask_of(data.draw(st.sets(elements, min_size=1,
+                                      max_size=6 if mode == "exhaustive" else order // 2 + 1)))
+    powers = chain_powers(spec, d_set, k)
+    wit = chain_witness_search(spec, m_set, powers, data.draw(st.integers(4, 12)), mode)
+    assert len(wit.sums) == len(wit.chain) <= k + 1
+    for i, (subset, total) in enumerate(zip(wit.chain, wit.sums)):
+        assert total == sumset(spec, subset, powers[i])
+    assert [x.bit_count() for x in wit.sums[1:]] == [lhs for _, lhs, _ in wit.bounds]
 
 
 def test_minimal_generating_subset():
