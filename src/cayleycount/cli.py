@@ -58,6 +58,20 @@ def _report_header(args: argparse.Namespace) -> dict:
     }
 
 
+def _check_output(path: str) -> None:
+    """Refuse an output path that cannot be written before any work is done.
+    Opening for append truncates nothing, and a file the check creates is
+    removed again, so a command that then fails leaves the path as it was."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _emit(args: argparse.Namespace, payload: str) -> None:
     if args.output:
         try:
@@ -142,7 +156,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     report = {
         "i": str(count),
         "log2_i": round(math.log2(count), 6) if count else None,
-        "engine": "branching",
+        "engine": counting.chosen_engine(graph),
         "vertices": graph.vcount,
     }
     if graph.parts is not None:
@@ -287,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", parents=[common], help="exact independent-set count")
     p_count.add_argument("graph")
-    p_count.add_argument("--budget", type=int, default=counting.DEFAULT_BRANCHING_BUDGET)
+    p_count.add_argument("--budget", type=int, default=counting.DEFAULT_BRANCHING_BUDGET,
+                         help="vertex budget of the count, for either engine (exit 2 above it)")
     p_count.add_argument("--brute-budget", type=int, default=counting.DEFAULT_BRUTEFORCE_BUDGET)
     p_count.add_argument("--no-crosscheck", action="store_true")
     p_count.set_defaults(func=cmd_count)
@@ -328,6 +343,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     started = time.time()
     try:
+        if args.output:
+            _check_output(args.output)
         code = args.func(args)
     except (InstanceTooLargeError, SearchSpaceTooLargeError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

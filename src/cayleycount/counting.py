@@ -1,10 +1,18 @@
 """Exact independent-set counting and enumeration of small 2-linked closed
 sets.
 
-Two independent counting routes are kept deliberately separate: a branching
-engine (component factorization, path and cycle closed forms, memoization on
-component vertex masks) and a doubling table over all 2^V subsets, held in
-one int.  Tests require them to agree; neither shares code with the other.
+Three counting routes are kept deliberately separate, and none shares code
+with another:
+- a branching engine (component factorization, path and cycle closed forms,
+  memoization on component vertex masks);
+- a frontier DP over the vertices in id order, whose state is the set of
+  chosen vertices that still have an unprocessed neighbor (the pathwidth DP,
+  or transfer-matrix method);
+- a doubling table over all 2^V subsets, held in one int.
+`count_independent_sets` runs the frontier DP when a bound on its state
+count, computed before it starts, is within FRONTIER_STATE_BUDGET and no
+larger than the branching engine's worst-case bound; otherwise it branches.
+Tests require all three routes to agree.
 """
 
 from __future__ import annotations
@@ -22,6 +30,10 @@ DEFAULT_BRANCHING_BUDGET = 64
 DEFAULT_BRUTEFORCE_BUDGET = 26
 SUBSET_SUM_BUDGET = 20
 ENUM_STATE_BUDGET = 1 << 20
+FRONTIER_STATE_BUDGET = 1 << 20
+# the root of x^4 = x^3 + 1: branching on a vertex of degree >= 3 solves
+# T(V) = T(V - 1) + T(V - 4), so the branching engine visits O(TAU^V) nodes
+TAU = 1.3802775690976141
 
 
 def count_independent_sets(graph: Graph, budget: int = DEFAULT_BRANCHING_BUDGET) -> int:
@@ -35,12 +47,17 @@ def count_independent_sets(graph: Graph, budget: int = DEFAULT_BRANCHING_BUDGET)
     fixes the induced subgraph, so branched components are memoized by
     their mask, and repeated fragments are counted once.  The branching runs
     on an explicit stack, so its depth is bounded by memory alone.
+
+    When `chosen_engine` names the frontier DP, that DP counts instead.  The
+    vertex budget holds for both engines.
     """
     if graph.vcount > budget:
         raise InstanceTooLargeError(
-            f"{graph.vcount} vertices exceeds branching budget {budget}")
+            f"{graph.vcount} vertices exceeds the counting vertex budget {budget}")
     if graph.vcount == 0:
         return 1
+    if chosen_engine(graph) == "frontier":
+        return _count_frontier(graph.adj)
     adj = graph.adj
     memo: dict[int, int] = {}
 
@@ -110,6 +127,61 @@ def count_independent_sets(graph: Graph, budget: int = DEFAULT_BRANCHING_BUDGET)
                 return total
             memo[frame[0]] = total
             stack[-1][frame[1]] *= total
+
+
+def chosen_engine(graph: Graph) -> str:
+    """The engine `count_independent_sets` runs: "frontier" or "branching".
+
+    Let L_v be the vertices <= v with a neighbor > v.  The frontier DP holds
+    at most 2^|L_v| states after vertex v, so sum_v 2^|L_v| bounds its work.
+    It runs when that bound is within FRONTIER_STATE_BUDGET and within the
+    branching engine's worst case, TAU^V.  A graph of maximum degree <= 2
+    always branches, since its components are paths and cycles counted in
+    closed form.  The sum stops as soon as it passes the cap, so a graph
+    without band structure costs a few vertices' work here.
+    """
+    adj = graph.adj
+    # tau^1000 exceeds any state budget, and tau^V overflows a float past
+    # V = 2200
+    cap = min(FRONTIER_STATE_BUDGET, TAU ** min(graph.vcount, 1000))
+    # L_v is the part <= v of the neighborhood of the vertices > v, so the
+    # sum runs from the last vertex down, where that neighborhood only grows
+    total = 1                   # L_{V-1} is empty
+    later = 0
+    for v in range(graph.vcount - 2, -1, -1):
+        later |= adj[v + 1]
+        total += 1 << (later & ((2 << v) - 1)).bit_count()
+        if total > cap:
+            return "branching"
+    if all(row.bit_count() <= 2 for row in adj):
+        return "branching"
+    return "frontier"
+
+
+def _count_frontier(adj: tuple[int, ...]) -> int:
+    """i(G) by a left-to-right DP over the vertex ids.  A state is the set of
+    chosen vertices that still have an unprocessed neighbor, mapped to the
+    number of independent sets of the processed vertices that leave it.  A
+    vertex leaves every state once its last neighbor is processed."""
+    expire = [0] * len(adj)
+    for u, row in enumerate(adj):
+        if row >> u:
+            expire[row.bit_length() - 1] |= 1 << u
+    states = {0: 1}
+    for v, row in enumerate(adj):
+        keep = ~expire[v]
+        # v joins a state only if a neighbor of v is still to come
+        stays = 1 << v if row >> v else 0
+        grown: dict[int, int] = {}
+        get = grown.get
+        for state, count in states.items():
+            rest = state & keep
+            grown[rest] = get(rest, 0) + count
+            if not state & row:
+                rest |= stays
+                grown[rest] = get(rest, 0) + count
+        states = grown
+    return sum(states.values())
 
 
 def count_independent_sets_bruteforce(graph: Graph,

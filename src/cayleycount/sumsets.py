@@ -77,21 +77,24 @@ class PrpWitness:
     rhs: Fraction
 
 
-def prp_witness_search(spec: GroupSpec, m_set: int, d_set: int, j: int) -> PrpWitness:
+def prp_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int]) -> PrpWitness:
     """Largest M' <= M with |M' + jD| <= alpha^j |M'|, alpha = |M+D|/|M|.
 
-    Exhaustive largest-first subset search; existence is guaranteed, so an
-    empty search is a hard failure rather than a result.
+    `powers` is (D, 2D, ..., jD), so j = len(powers); a caller that searches
+    many M against one D builds them once (`chain_powers`).  Exhaustive
+    largest-first subset search; existence is guaranteed, so an empty search
+    is a hard failure rather than a result.
     """
     if not m_set:
         raise InvalidInputError("M must be nonempty")
-    if j < 1:
+    if not powers:
         raise InvalidInputError("j must be >= 1")
+    j = len(powers)
     m = m_set.bit_count()
     if m > WITNESS_CAP:
         raise SearchSpaceTooLargeError(f"|M| = {m} exceeds exhaustive cap {WITNESS_CAP}")
-    md = sumset(spec, m_set, d_set).bit_count()
-    jd = iterated_sumset(spec, 1, d_set, j)
+    md = sumset(spec, m_set, powers[0]).bit_count()
+    jd = powers[-1]
     bits = [1 << x for x in iter_bits(m_set)]
     for size in range(m, 0, -1):
         # lhs is an integer, so lhs <= alpha^j size iff lhs <= its floor

@@ -278,10 +278,11 @@ def sweep_prp(max_order: int = 12) -> SweepResult:
         sets = sets_with_zero(order, 4)
         for spec in groups.enumerate_abelian_groups(order):
             for d_set in sets:
+                powers = sumsets.chain_powers(spec, d_set, 1)
                 for m_set in sets:
                     res.checked += 1
                     try:
-                        sumsets.prp_witness_search(spec, m_set, d_set, 2)
+                        sumsets.prp_witness_search(spec, m_set, powers)
                     except InvariantViolation:
                         res.violations += 1
     return res

@@ -173,6 +173,36 @@ def test_bad_files_are_usage_errors(tmp_path, capsys):
         assert out == "", argv
 
 
+def test_unwritable_output_fails_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    def refuse(**kwargs):
+        raise AssertionError("the suite ran although its report cannot be written")
+
+    monkeypatch.setitem(verify.ALL_SUITES, "kdd", refuse)
+    for target in (tmp_path / "no" / "such" / "dir.json", tmp_path):
+        code, out, err = run_cli(["verify", "kdd", "-o", str(target)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1, err
+    # a command that fails after the check leaves an existing file as it was,
+    # and creates no file where there was none
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier report\n")
+    for target in (kept, fresh):
+        code, _, _ = run_cli(["count", str(tmp_path / "missing.json"), "-o", str(target)], capsys)
+        assert code == 3
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
+
+
+def test_count_reports_the_engine_that_ran(tmp_path, capsys):
+    ring, c24 = str(tmp_path / "ring.json"), str(tmp_path / "c24.json")
+    run_cli(["build", "gadget-ring", "--d", "3", "--t", "3", "--seed", "7", "-o", ring], capsys)
+    run_cli(["build", "--group", "Z24", "--gens", "1,23", "-o", c24], capsys)
+    for path, engine in ((ring, "frontier"), (c24, "branching")):
+        code, out, _ = run_cli(["count", path], capsys)
+        assert code == 0
+        assert json.loads(out)["engine"] == engine, path
+
+
 def test_verify_with_nothing_to_check_is_a_usage_error(capsys):
     for argv in (["verify", "chain", "--max-order", "1"], ["verify", "thinning", "--trials", "0"],
                  ["verify", "lovasz-stein", "--trials", "0"],

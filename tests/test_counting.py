@@ -6,11 +6,13 @@ from unittest.mock import patch
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from cayleycount import counting
+from cayleycount.constructions import GadgetRingConfig, build_gadget_ring
 from cayleycount.counting import (
     bipartite_bound_sum,
+    chosen_engine,
     cluster_bound,
     container_table,
     count_closure_preimages,
@@ -37,6 +39,12 @@ def test_known_counts():
     assert count_independent_sets(Graph([0] * 5)) == 32
     assert count_independent_sets(Graph([0])) == 2
     assert count_independent_sets(Graph([])) == 1
+
+
+def count_by(engine, graph, budget=counting.DEFAULT_BRANCHING_BUDGET):
+    """i(G) by the named engine, whatever `chosen_engine` would pick."""
+    with patch.object(counting, "chosen_engine", lambda g: engine):
+        return count_independent_sets(graph, budget)
 
 
 def _path(n):
@@ -71,7 +79,8 @@ def test_count_runs_deep_instances_without_touching_the_recursion_limit(monkeypa
         a, b = 3, 7
         for _ in range(400 - 2):
             a, b = b, 2 * b + a
-        assert count_independent_sets(_ladder(400), budget=800) == b
+        for engine in ("branching", "frontier"):
+            assert count_by(engine, _ladder(400), budget=800) == b
         assert count_independent_sets(cycle_graph(3000), budget=3000) == lucas_number(3000)
         # i(P_n) = F(n + 2)
         f, g = 0, 1
@@ -182,17 +191,106 @@ def path_cycle_unions(draw):
 @settings(max_examples=300, deadline=None)
 @given(path_cycle_unions())
 def test_closed_forms_and_mask_memo_match_bruteforce(graph):
-    assert count_independent_sets(graph) == count_independent_sets_bruteforce(graph)
+    assert count_by("branching", graph) == count_independent_sets_bruteforce(graph)
+
+
+def _relabeled(n, edges, label):
+    adj = [0] * n
+    for u, v in edges:
+        adj[label[u]] |= 1 << label[v]
+        adj[label[v]] |= 1 << label[u]
+    return Graph(adj)
+
+
+@st.composite
+def banded_graphs(draw):
+    """Random graphs, and paths or rings of cliques and ladders: in id order
+    they are bands, on which the frontier DP's bound is small; randomly
+    relabeled (at most 24 vertices, so that a forced frontier DP stays
+    cheap) they mostly are not."""
+    kind = draw(st.sampled_from(("random", "cliques", "ladder")))
+    ring = draw(st.booleans())
+    if kind == "random":
+        n = draw(st.integers(0, 16))
+        density = draw(st.sampled_from((0.1, 0.3, 0.6)))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    elif kind == "cliques":
+        size, k = draw(st.integers(2, 5)), draw(st.integers(1, 8))
+        n = size * k
+        edges = [(b * size + i, b * size + j)
+                 for b in range(k) for i in range(size) for j in range(i + 1, size)]
+        # one edge from each clique to the next, and from the last to the first
+        edges += [(b * size + size - 1, (b + 1) % k * size)
+                  for b in range(k if ring and k >= 3 else k - 1)]
+    else:
+        k = draw(st.integers(1, 20))
+        n = 2 * k
+        edges = _ladder(k).edges()
+        if ring and k >= 3:
+            edges += [(n - 2, 0), (n - 1, 1)]
+    relabel = n <= 24 and draw(st.booleans())
+    label = draw(st.permutations(range(n))) if relabel else range(n)
+    return _relabeled(n, edges, label)
+
+
+@settings(max_examples=200, deadline=None)
+@given(banded_graphs())
+def test_frontier_dp_matches_branching_and_bruteforce(graph):
+    event(chosen_engine(graph))
+    count = count_by("frontier", graph)
+    assert count == count_by("branching", graph) == count_independent_sets(graph)
+    if graph.vcount <= counting.DEFAULT_BRUTEFORCE_BUDGET:
+        assert count == count_independent_sets_bruteforce(graph)
+
+
+def _hypercube(d):
+    """Q_d: the Cayley graph of Z2^d with the standard basis."""
+    spec = make_group([2] * d)
+    return build_cayley(spec, GeneratorSet(spec, {coords_to_id(spec, [int(i == j) for j in range(d)])
+                                                  for i in range(d)}))
+
+
+def test_engine_choice():
+    for seed in (1, 7):
+        ring = build_gadget_ring(GadgetRingConfig(d=3, t=3, seed=seed)).graph
+        assert chosen_engine(ring) == "frontier"
+    # a band goes to the frontier DP, the same graph shuffled to branching
+    ladder = _ladder(20)
+    assert chosen_engine(ladder) == "frontier"
+    # its bound sum_v 2^|L_v|: 2 at v = 0, 4 at v = 1..38, 1 at v = 39
+    for budget, engine in ((2 + 4 * 38 + 1, "frontier"), (2 + 4 * 38, "branching")):
+        with patch.object(counting, "FRONTIER_STATE_BUDGET", budget):
+            assert chosen_engine(ladder) == engine
+    shuffled = list(range(40))
+    random.Random(3).shuffle(shuffled)
+    assert chosen_engine(_relabeled(40, ladder.edges(), shuffled)) == "branching"
+    for graph in (cycle_graph(24), _hypercube(5), _hypercube(6), complete_bipartite_graph(6)):
+        assert chosen_engine(graph) == "branching"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 12)), min_size=1, max_size=4),
+       st.data())
+def test_graphs_of_maximum_degree_two_branch(parts, data):
+    # paths and cycles, in id order or relabeled, stay on the closed forms
+    edges, n = [], 0
+    for cyclic, k in parts:
+        edges += [(n + i, n + i + 1) for i in range(k - 1)]
+        if cyclic and k >= 3:
+            edges.append((n + k - 1, n))
+        n += k
+    label = data.draw(st.permutations(range(n))) if data.draw(st.booleans()) else range(n)
+    assert chosen_engine(_relabeled(n, edges, label)) == "branching"
 
 
 def test_hypercube_counts():
-    # i(Q_d) for Q_d the Cayley graph of Z2^d with the standard basis
     known = {2: 7, 3: 35, 4: 743, 5: 254475, 6: 19768832143}
     for d, count in known.items():
-        spec = make_group([2] * d)
-        basis = GeneratorSet(spec, {coords_to_id(spec, [int(i == j) for j in range(d)])
-                                    for i in range(d)})
-        assert count_independent_sets(build_cayley(spec, basis)) == count
+        assert count_independent_sets(_hypercube(d)) == count
+        # Q6 has too wide a frontier for the DP in a test run
+        if d <= 5:
+            assert count_by("frontier", _hypercube(d)) == count
 
 
 def test_monotone_under_added_generators():

@@ -104,16 +104,18 @@ def test_growth_examples():
 
 def test_prp_examples():
     z64 = make_group([64])
-    wit = prp_witness_search(z64, mask_of({0, 1, 2}), mask_of({0, 1}), 2)
+    wit = prp_witness_search(z64, mask_of({0, 1, 2}), chain_powers(z64, mask_of({0, 1}), 1))
     assert wit.alpha == Fraction(4, 3)
     assert wit.witness == mask_of({0, 1, 2})
     assert wit.lhs == 5 and wit.lhs <= wit.rhs
-    wit = prp_witness_search(z64, mask_of({0, 7, 9}), mask_of({0}), 3)
+    wit = prp_witness_search(z64, mask_of({0, 7, 9}), chain_powers(z64, mask_of({0}), 2))
     assert wit.alpha == 1 and wit.witness == mask_of({0, 7, 9})
     with pytest.raises(SearchSpaceTooLargeError):
-        prp_witness_search(z64, mask_of(set(range(30))), mask_of({0, 1}), 2)
+        prp_witness_search(z64, mask_of(set(range(30))), chain_powers(z64, mask_of({0, 1}), 1))
     with pytest.raises(InvalidInputError):
-        prp_witness_search(z64, mask_of(set()), mask_of({0}), 2)
+        prp_witness_search(z64, mask_of(set()), chain_powers(z64, mask_of({0}), 1))
+    with pytest.raises(InvalidInputError):
+        prp_witness_search(z64, mask_of({0}), ())
 
 
 def test_olson_examples():
