@@ -4,12 +4,18 @@ verification suites, and emit per-record container certificates.
 Exit codes: 0 = all checks pass, 1 = a checked fact was violated,
 2 = instance exceeded a size budget (including a group or graph above
 `groups.MAX_ORDER`), 3 = usage error (including a bad CAYLEYCOUNT_SEED).
+
+`main` builds its parser once per process, on its first call, and reuses it,
+so an in-process caller pays for argparse once.  The parser holds nothing
+that can change within the process: CAYLEYCOUNT_SEED is read at each call,
+and a command runs the module's `cmd_<name>` as it is at that call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -156,7 +162,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     report = {
         "i": str(count),
         "log2_i": round(math.log2(count), 6) if count else None,
-        "engine": counting.chosen_engine(graph),
+        "engine": counting.chosen_engine(graph),    # the count's choice, kept on the graph
         "vertices": graph.vcount,
     }
     if graph.parts is not None:
@@ -274,16 +280,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The parser, and the --seed action that its subcommands share."""
     parser = argparse.ArgumentParser(
         prog="cayleycount",
         description="Exact independent-set counting and container machinery "
                     "for Abelian Cayley graphs.")
     common = argparse.ArgumentParser(add_help=False)
-    # argparse converts a string default with `type`, so a bad value in the
-    # environment is a usage error like a bad --seed
-    common.add_argument("--seed", type=int, default=os.environ.get("CAYLEYCOUNT_SEED", "0"),
-                        help="master seed (env CAYLEYCOUNT_SEED)")
+    # its default is the environment's value, set by `main` at each call
+    seed = common.add_argument("--seed", type=int, help="master seed (env CAYLEYCOUNT_SEED)")
     common.add_argument("--output", "-o", help="write the report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--d", type=int, default=3)
     p_build.add_argument("--t", type=int, default=2)
     p_build.add_argument("--n", type=int, default=8)
-    p_build.set_defaults(func=cmd_build)
+    p_build.set_defaults(func=cmd_build.__name__)
 
     p_count = sub.add_parser("count", parents=[common], help="exact independent-set count")
     p_count.add_argument("graph")
@@ -305,23 +311,23 @@ def build_parser() -> argparse.ArgumentParser:
                          help="vertex budget of the count, for either engine (exit 2 above it)")
     p_count.add_argument("--brute-budget", type=int, default=counting.DEFAULT_BRUTEFORCE_BUDGET)
     p_count.add_argument("--no-crosscheck", action="store_true")
-    p_count.set_defaults(func=cmd_count)
+    p_count.set_defaults(func=cmd_count.__name__)
 
     p_table = sub.add_parser("table", parents=[common], help="exact (a, g) table of small 2-linked sets")
     p_table.add_argument("graph")
     p_table.add_argument("--side", choices=("X", "Y"), default="X")
     p_table.add_argument("--format", choices=("json", "csv"), default="csv",
                          help="table output format")
-    p_table.set_defaults(func=cmd_table)
+    p_table.set_defaults(func=cmd_table.__name__)
 
     p_dump = sub.add_parser("dump-edges", parents=[common], help="plain edge-list dump")
     p_dump.add_argument("graph")
-    p_dump.set_defaults(func=cmd_dump_edges)
+    p_dump.set_defaults(func=cmd_dump_edges.__name__)
 
     p_cont = sub.add_parser("containers", parents=[common], help="per-record container certificates")
     p_cont.add_argument("graph")
     p_cont.add_argument("--side", choices=("X", "Y"), default="X")
-    p_cont.set_defaults(func=cmd_containers)
+    p_cont.set_defaults(func=cmd_containers.__name__)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(verify.ALL_SUITES))
@@ -330,12 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int)
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--d", type=int)
-    p_verify.set_defaults(func=cmd_verify)
-    return parser
+    p_verify.set_defaults(func=cmd_verify.__name__)
+    return parser, seed
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, seed = _parser()
+    # argparse converts a string default with `type`, so a bad value in the
+    # environment is a usage error like a bad --seed
+    seed.default = os.environ.get("CAYLEYCOUNT_SEED", "0")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -345,7 +354,7 @@ def main(argv=None) -> int:
     try:
         if args.output:
             _check_output(args.output)
-        code = args.func(args)
+        code = globals()[args.func](args)
     except (InstanceTooLargeError, SearchSpaceTooLargeError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -5,14 +5,18 @@ Three counting routes are kept deliberately separate, and none shares code
 with another:
 - a branching engine (component factorization, path and cycle closed forms,
   memoization on component vertex masks);
-- a frontier DP over the vertices in id order, whose state is the set of
-  chosen vertices that still have an unprocessed neighbor (the pathwidth DP,
-  or transfer-matrix method);
+- a frontier DP over a vertex order, whose state is the set of chosen
+  vertices that still have an unprocessed neighbor (the pathwidth DP, or
+  transfer-matrix method);
 - a doubling table over all 2^V subsets, held in one int.
 `count_independent_sets` runs the frontier DP when a bound on its state
 count, computed before it starts, is within FRONTIER_STATE_BUDGET and no
 larger than the branching engine's worst-case bound; otherwise it branches.
-Tests require all three routes to agree.
+The DP runs in id order, or in a breadth-first order where that order's
+bound is smaller.  The second order is formed only when the branching bound
+and the id-order bound both exceed V^2, which bounds the cost of forming it,
+so graphs of at most 17 vertices never form it.  Tests require all three
+routes to agree.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ def count_independent_sets(graph: Graph, budget: int = DEFAULT_BRANCHING_BUDGET)
     their mask, and repeated fragments are counted once.  The branching runs
     on an explicit stack, so its depth is bounded by memory alone.
 
-    When `chosen_engine` names the frontier DP, that DP counts instead.  The
-    vertex budget holds for both engines.
+    When `chosen_engine` names the frontier DP, that DP counts instead, over
+    the vertex order the choice kept.  The vertex budget holds for both
+    engines.
     """
     if graph.vcount > budget:
         raise InstanceTooLargeError(
@@ -57,7 +62,7 @@ def count_independent_sets(graph: Graph, budget: int = DEFAULT_BRANCHING_BUDGET)
     if graph.vcount == 0:
         return 1
     if chosen_engine(graph) == "frontier":
-        return _count_frontier(graph.adj)
+        return _count_frontier(_route(graph)[1])
     adj = graph.adj
     memo: dict[int, int] = {}
 
@@ -132,34 +137,96 @@ def count_independent_sets(graph: Graph, budget: int = DEFAULT_BRANCHING_BUDGET)
 def chosen_engine(graph: Graph) -> str:
     """The engine `count_independent_sets` runs: "frontier" or "branching".
 
-    Let L_v be the vertices <= v with a neighbor > v.  The frontier DP holds
-    at most 2^|L_v| states after vertex v, so sum_v 2^|L_v| bounds its work.
-    It runs when that bound is within FRONTIER_STATE_BUDGET and within the
-    branching engine's worst case, TAU^V.  A graph of maximum degree <= 2
-    always branches, since its components are paths and cycles counted in
-    closed form.  The sum stops as soon as it passes the cap, so a graph
-    without band structure costs a few vertices' work here.
+    Let L_v be the vertices <= v with a neighbor > v in a vertex order.  The
+    frontier DP over that order holds at most 2^|L_v| states after vertex v,
+    so sum_v 2^|L_v| bounds its work.  The DP runs when that bound is within
+    FRONTIER_STATE_BUDGET and within the branching engine's worst case,
+    TAU^V.  A graph of maximum degree <= 2 always branches, since its
+    components are paths and cycles counted in closed form.
+
+    The bound is taken in id order, and also in a breadth-first order from
+    the least vertex of each component (Cuthill-McKee's order, without its
+    degree sort) when both TAU^V and the id-order bound exceed V^2: forming
+    and bounding the second order costs O(V + E) <= V^2 steps, so it is
+    formed only where it can pay.  The DP runs over the order with the
+    smaller bound, id order on a tie.  Each sum stops as soon as it passes
+    its cap, so a graph without band structure costs a few vertices' work.
+    The choice is made once per graph and kept on it.
     """
-    adj = graph.adj
+    return _route(graph)[0]
+
+
+def _route(graph: Graph) -> tuple[str, tuple[int, ...]]:
+    """(the engine, the adjacency rows renamed into the order the frontier
+    DP runs over), chosen on first use and kept on the graph."""
+    if graph._route is None:
+        graph._route = _choose_route(graph.adj)
+    return graph._route
+
+
+def _choose_route(adj: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    v_count = len(adj)
     # tau^1000 exceeds any state budget, and tau^V overflows a float past
     # V = 2200
-    cap = min(FRONTIER_STATE_BUDGET, TAU ** min(graph.vcount, 1000))
-    # L_v is the part <= v of the neighborhood of the vertices > v, so the
-    # sum runs from the last vertex down, where that neighborhood only grows
+    tau_v = TAU ** min(v_count, 1000)
+    cap = min(FRONTIER_STATE_BUDGET, tau_v)
+    bound = _state_bound(adj, cap)
+    # forming and bounding a second order costs at most V^2 steps
+    square = v_count ** 2
+    wide = bound > square and tau_v > square
+    if bound > cap and not wide or all(row.bit_count() <= 2 for row in adj):
+        return "branching", adj
+    if wide:
+        limit = min(cap, bound - 1)         # a tie keeps id order
+        rows = _relabeled(adj, _breadth_first_order(adj))
+        if _state_bound(rows, limit) <= limit:
+            return "frontier", rows
+    return ("frontier" if bound <= cap else "branching"), adj
+
+
+def _state_bound(adj: tuple[int, ...], cap: float) -> int:
+    """sum_v 2^|L_v| in id order, or its first partial sum above `cap`.
+
+    L_v is the part <= v of the neighborhood of the vertices > v, so the sum
+    runs from the last vertex down, where that neighborhood only grows."""
     total = 1                   # L_{V-1} is empty
     later = 0
-    for v in range(graph.vcount - 2, -1, -1):
+    for v in range(len(adj) - 2, -1, -1):
         later |= adj[v + 1]
         total += 1 << (later & ((2 << v) - 1)).bit_count()
         if total > cap:
-            return "branching"
-    if all(row.bit_count() <= 2 for row in adj):
-        return "branching"
-    return "frontier"
+            break
+    return total
+
+
+def _breadth_first_order(adj: tuple[int, ...]) -> list[int]:
+    """The vertices in breadth-first order, each component from its least
+    vertex and each vertex's new neighbors in id order."""
+    order: list[int] = []
+    unseen = (1 << len(adj)) - 1
+    done = 0
+    while unseen:
+        if done == len(order):
+            low = unseen & -unseen
+            unseen ^= low
+            order.append(low.bit_length() - 1)
+        new = adj[order[done]] & unseen
+        unseen ^= new
+        order.extend(iter_bits(new))
+        done += 1
+    return order
+
+
+def _relabeled(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
+    """The adjacency rows with vertex order[i] renamed i."""
+    position = [0] * len(adj)
+    for i, v in enumerate(order):
+        position[v] = i
+    return tuple(mask_of(position[u] for u in iter_bits(adj[v])) for v in order)
 
 
 def _count_frontier(adj: tuple[int, ...]) -> int:
-    """i(G) by a left-to-right DP over the vertex ids.  A state is the set of
+    """i(G) by a DP over the rows in their order.  A state is the set of
     chosen vertices that still have an unprocessed neighbor, mapped to the
     number of independent sets of the processed vertices that leave it.  A
     vertex leaves every state once its last neighbor is processed."""

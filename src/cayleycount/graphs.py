@@ -30,15 +30,17 @@ class Graph:
     optionally with a bipartition `parts` into two independent sets.
 
     A graph never changes after construction, so its whole-graph facts
-    (connectivity and the degree set) are computed on first use and kept."""
+    (connectivity and the degree set) and its counting route (kept by
+    `counting.chosen_engine`) are computed on first use and kept."""
 
-    __slots__ = ("vcount", "adj", "parts", "_facts")
+    __slots__ = ("vcount", "adj", "parts", "_facts", "_route")
 
     def __init__(self, adj: Sequence[int], parts: Optional[tuple[int, int]] = None):
         self.vcount = len(adj)
         self.adj = tuple(adj)
         self.parts = parts
         self._facts: Optional[tuple[bool, frozenset[int]]] = None
+        self._route: Optional[tuple[str, tuple[int, ...]]] = None
         full = (1 << self.vcount) - 1
         for v, row in enumerate(self.adj):
             if row >> self.vcount:
@@ -183,7 +185,7 @@ class CayleyGraph(Graph):
         # Graph's input checks hold by construction: D is validated symmetric
         # and 0-free, and the parts are the kernel and coset of a map to Z2
         self.vcount, self.adj, self.parts = n, tuple(adj), groups.bipartition(group, gens)
-        self._facts = None
+        self._facts = self._route = None
         self._chain: Optional[tuple[tuple[int, ...], Fraction, Fraction]] = None
         self.group = group
         self.gens = gens

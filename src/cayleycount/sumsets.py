@@ -71,10 +71,23 @@ def iterated_growth_check(spec: GroupSpec, m_set: int, d_set: int, i: int) -> Gr
 
 @dataclass
 class PrpWitness:
-    alpha: Fraction
+    """M' = `witness` with |M' + jD| = `lhs`; `md` = |M + D| and `m` = |M|
+    fix alpha, and the exact values are formed only when read."""
+
     witness: int
     lhs: int
-    rhs: Fraction
+    md: int
+    m: int
+    j: int
+
+    @property
+    def alpha(self) -> Fraction:
+        return Fraction(self.md, self.m)
+
+    @property
+    def rhs(self) -> Fraction:
+        """alpha^j |M'|."""
+        return self.alpha ** self.j * self.witness.bit_count()
 
 
 def prp_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int]) -> PrpWitness:
@@ -103,8 +116,7 @@ def prp_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int]) -> Pr
             sub = sum(combo)
             lhs = sumset(spec, sub, jd).bit_count()
             if lhs <= floor_rhs:
-                alpha = Fraction(md, m)
-                return PrpWitness(alpha, sub, lhs, alpha ** j * size)
+                return PrpWitness(sub, lhs, md, m, j)
     raise InvariantViolation(
         "no witness found: the inequality is a theorem, this is a bug")
 

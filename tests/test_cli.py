@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import inspect
 import json
@@ -5,7 +6,7 @@ import os
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cayleycount import containers, counting, verify
+from cayleycount import cli, containers, counting, verify
 from cayleycount.cli import RENAMES, SUITE_FLAGS, main
 from cayleycount.graphs import graph_from_json
 
@@ -193,14 +194,22 @@ def test_unwritable_output_fails_before_the_command_runs(tmp_path, capsys, monke
     assert not fresh.exists()
 
 
-def test_count_reports_the_engine_that_ran(tmp_path, capsys):
+def test_count_reports_the_engine_that_ran(tmp_path, capsys, monkeypatch):
     ring, c24 = str(tmp_path / "ring.json"), str(tmp_path / "c24.json")
     run_cli(["build", "gadget-ring", "--d", "3", "--t", "3", "--seed", "7", "-o", ring], capsys)
     run_cli(["build", "--group", "Z24", "--gens", "1,23", "-o", c24], capsys)
-    for path, engine in ((ring, "frontier"), (c24, "branching")):
+    # the count and its report share one choice: the ring forms its
+    # breadth-first order once, C24 (a cycle) never
+    formed = []
+    order = counting._breadth_first_order
+    monkeypatch.setattr(counting, "_breadth_first_order",
+                        lambda adj: formed.append(len(adj)) or order(adj))
+    for path, engine, orders in ((ring, "frontier", [60]), (c24, "branching", [])):
         code, out, _ = run_cli(["count", path], capsys)
         assert code == 0
         assert json.loads(out)["engine"] == engine, path
+        assert formed == orders, path
+        formed.clear()
 
 
 def test_verify_with_nothing_to_check_is_a_usage_error(capsys):
@@ -354,6 +363,41 @@ def test_env_seed(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["build", "gadget-ring", "-o", gpath], capsys)
     assert code == 3
     assert "usage" in err and "Traceback" not in err
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    gpath = str(tmp_path / "g.json")
+    build = ["build", "gadget-ring", "--d", "3", "--t", "2", "-o", gpath]
+    assert run_cli(build, capsys)[0] == 0
+    # no parser is built after the first call
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second parser was built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    # the environment is read at each call
+    for env, seed in (("5", 5), ("123", 123), (None, 0), ("5", 5)):
+        if env is None:
+            monkeypatch.delenv("CAYLEYCOUNT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CAYLEYCOUNT_SEED", env)
+        assert run_cli(build, capsys)[0] == 0
+        data = json.load(open(gpath))
+        assert data["provenance"]["seed"] == data["report"]["seed"] == seed
+    # a command runs the module's function as it is at the call, so a
+    # wrapper installed after the first call sees the next one
+    calls = []
+    count = cli.cmd_count
+
+    def wrapped(args):
+        calls.append(args.graph)
+        return count(args)
+
+    monkeypatch.setattr(cli, "cmd_count", wrapped)
+    code, out, _ = run_cli(["count", gpath], capsys)
+    assert code == 0 and calls == [gpath]
+    assert json.loads(out)["report"]["config"] == {
+        "command": "count", "seed": 5, "graph": gpath, "budget": 64, "brute_budget": 26,
+        "no_crosscheck": False}
 
 
 def test_oversized_inputs_hit_the_size_budget(tmp_path, capsys):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from cayleycount import counting
-from cayleycount.constructions import GadgetRingConfig, build_gadget_ring
+from cayleycount.constructions import (GadgetRingConfig, OddCirculantConfig, build_gadget_ring,
+                                       build_odd_circulant)
 from cayleycount.counting import (
     bipartite_bound_sum,
     chosen_engine,
@@ -255,18 +256,128 @@ def test_engine_choice():
     for seed in (1, 7):
         ring = build_gadget_ring(GadgetRingConfig(d=3, t=3, seed=seed)).graph
         assert chosen_engine(ring) == "frontier"
-    # a band goes to the frontier DP, the same graph shuffled to branching
-    ladder = _ladder(20)
-    assert chosen_engine(ladder) == "frontier"
-    # its bound sum_v 2^|L_v|: 2 at v = 0, 4 at v = 1..38, 1 at v = 39
+    # a band goes to the frontier DP in id order: its bound sum_v 2^|L_v|
+    # (2 at v = 0, 4 at v = 1..38, 1 at v = 39) is below 40^2, so no second
+    # order is formed.  The choice is kept on the graph, so each budget
+    # gets a new one
     for budget, engine in ((2 + 4 * 38 + 1, "frontier"), (2 + 4 * 38, "branching")):
         with patch.object(counting, "FRONTIER_STATE_BUDGET", budget):
-            assert chosen_engine(ladder) == engine
+            assert chosen_engine(_ladder(20)) == engine
+    ladder = _ladder(20)
+    with patch.object(counting, "_breadth_first_order", _refuse_a_second_order):
+        assert chosen_engine(ladder) == "frontier"
+    assert counting._route(ladder)[1] is ladder.adj
+    # shuffled, the ladder is no band in id order, but its breadth-first
+    # order is one, and the DP runs over that order
     shuffled = list(range(40))
     random.Random(3).shuffle(shuffled)
-    assert chosen_engine(_relabeled(40, ladder.edges(), shuffled)) == "branching"
+    shuffled = _relabeled(40, ladder.edges(), shuffled)
+    assert counting._state_bound(shuffled.adj, counting.FRONTIER_STATE_BUDGET) > 40 ** 2
+    assert counting._route(shuffled) == (
+        "frontier", counting._relabeled(shuffled.adj, counting._breadth_first_order(shuffled.adj)))
+    assert count_independent_sets(shuffled) == count_independent_sets(ladder)
     for graph in (cycle_graph(24), _hypercube(5), _hypercube(6), complete_bipartite_graph(6)):
         assert chosen_engine(graph) == "branching"
+
+
+def test_breadth_first_order():
+    # two components, {0, 2, 4, 5} and {1, 3}: 0's neighbors 5 and 2 come in
+    # id order, then 2's new neighbor 4; then 1, the least vertex left
+    edges = [(0, 5), (0, 2), (2, 4), (1, 3)]
+    assert counting._breadth_first_order(_relabeled(6, edges, range(6)).adj) == [0, 2, 5, 4, 1, 3]
+    assert counting._breadth_first_order(()) == []
+
+
+def test_odd_circulants_keep_id_order(monkeypatch):
+    # both bounds exceed V^2, so the breadth-first order is formed, and its
+    # bound is the higher one: (20,5) 38,911 against 30,783 in id order,
+    # (40,9) 44.6M against 16.3M
+    formed = []
+    order = counting._breadth_first_order
+    monkeypatch.setattr(counting, "_breadth_first_order",
+                        lambda adj: formed.append(len(adj)) or order(adj))
+    for n, d, engine in ((20, 5, "frontier"), (40, 9, "branching")):
+        graph = build_odd_circulant(OddCirculantConfig(n=n, d=d))
+        assert counting._route(graph) == (engine, graph.adj)
+        assert formed.pop() == 2 * n
+
+
+def test_a_tie_keeps_id_order(monkeypatch):
+    # a path of four 10-cliques, each joined to the next by one edge: its
+    # bound in id order is above 40^2, and its breadth-first order is id
+    # order itself, so the two bounds tie and the graph's own rows are kept
+    edges = [(b * 10 + i, b * 10 + j) for b in range(4) for i in range(10) for j in range(i + 1, 10)]
+    edges += [(b * 10 + 9, b * 10 + 10) for b in range(3)]
+    graph = _relabeled(40, edges, range(40))
+    assert counting._breadth_first_order(graph.adj) == list(range(40))
+    assert counting._state_bound(graph.adj, counting.FRONTIER_STATE_BUDGET) > 40 ** 2
+    assert counting._route(graph)[1] is graph.adj
+
+
+def _refuse_a_second_order(adj):
+    raise AssertionError("a second vertex order was formed")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 17), st.sampled_from((0.1, 0.3, 0.6, 0.9)), st.integers(0, 2 ** 32))
+def test_small_graphs_form_no_second_order(n, density, seed):
+    # tau^17 is about 240, below 17^2, so no graph of at most 17 vertices
+    # forms the breadth-first order: the choice does the id-order work only
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    graph = _relabeled(n, edges, range(n))
+    with patch.object(counting, "_breadth_first_order", _refuse_a_second_order):
+        assert count_independent_sets(graph) == count_independent_sets_bruteforce(graph)
+
+
+@st.composite
+def relabeled_bands(draw):
+    """Rings of cliques, ladders and gadget rings of 18-60 vertices under a
+    random relabeling: of the whole graph, or within consecutive windows,
+    which leaves id order a wider band."""
+    kind = draw(st.sampled_from(("cliques", "ladder", "gadget")))
+    if kind == "cliques":
+        size = draw(st.integers(3, 5))         # cliques of 2 would make a cycle
+        k = draw(st.integers(-(-18 // size), 60 // size))
+        n = size * k
+        edges = [(b * size + i, b * size + j)
+                 for b in range(k) for i in range(size) for j in range(i + 1, size)]
+        edges += [(b * size + size - 1, (b + 1) % k * size) for b in range(k)]
+    elif kind == "ladder":
+        k = draw(st.integers(9, 30))
+        n = 2 * k
+        edges = _ladder(k).edges()
+        if draw(st.booleans()):
+            edges += [(n - 2, 0), (n - 1, 1)]
+    else:
+        d, t = draw(st.sampled_from(((3, 2), (3, 3), (4, 2))))
+        graph = build_gadget_ring(GadgetRingConfig(d=d, t=t, seed=draw(st.integers(0, 50)))).graph
+        n, edges = graph.vcount, graph.edges()
+    window = draw(st.sampled_from((2, 4, 6, n)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    label = []
+    for start in range(0, n, window):
+        block = list(range(start, min(start + window, n)))
+        rng.shuffle(block)
+        label += block
+    return _relabeled(n, edges, label)
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabeled_bands())
+def test_dp_in_the_chosen_order_matches_id_order_and_branching(graph):
+    engine, rows = counting._route(graph)
+    event(f"{engine}, {'id' if rows is graph.adj else 'breadth-first'} order")
+    count = count_by("branching", graph)
+    assert count_independent_sets(graph) == count
+    if engine == "frontier":
+        assert counting._count_frontier(rows) == count
+    # the id-order DP where its bound keeps it cheap
+    if counting._state_bound(graph.adj, 1 << 16) <= 1 << 16:
+        event("id-order DP checked")
+        assert counting._count_frontier(graph.adj) == count
+    if graph.vcount <= counting.DEFAULT_BRUTEFORCE_BUDGET:
+        assert count == count_independent_sets_bruteforce(graph)
 
 
 @settings(max_examples=100, deadline=None)
