@@ -1,7 +1,8 @@
 """Container machinery: greedy covers with the Lovász-Stein guarantee, the
-contraction preprocessing, randomized phi-approximation sampling, the
-deterministic psi-approximation algorithm, and per-record boundary
-containers.
+contraction preprocessing (super-vertices as the connected components
+through the Y-vertices outside C), randomized phi-approximation sampling,
+the deterministic psi-approximation algorithm (two single passes), and
+per-record boundary containers.
 
 Everything here operates on a d-regular bipartite graph and a closed-set
 record (A on side X, closure [A], neighborhood G, boundary G').  The small-d
@@ -134,7 +135,6 @@ class SuperVertex:
 
 @dataclass
 class ContractionState:
-    c_mask: int
     r_mask: int                     # X-vertices whose whole neighborhood is in C
     supers: list[SuperVertex]
 
@@ -148,9 +148,13 @@ class ContractionState:
 
 
 def contract(graph: Graph, c_mask: int, side: Optional[int] = None) -> ContractionState:
-    """Process every Y-vertex outside C in id order, each time merging its
-    current X-side neighborhood (originals and earlier super-vertices) into
-    one super-vertex.
+    """Merge the X-vertices linked through Y-vertices outside C.
+
+    The super-vertices are the connected components of the subgraph on
+    Y \\ C together with its X-neighbors, each cut down to its X-vertices
+    S: two X-vertices share one exactly when a path through Y-vertices
+    outside C joins them.  R is the rest of X, the vertices with no
+    neighbor outside C.
 
     A super-vertex with absorbed set S is adjacent to exactly
     N(S) \\ N(S)_d, where N(S)_d is the set of Y-vertices with all their
@@ -164,32 +168,19 @@ def contract(graph: Graph, c_mask: int, side: Optional[int] = None) -> Contracti
     if side is None:
         side = graph.side_of(c_mask, graph.parts[1])
     x_mask = graph.full_mask() & ~side
-    y_mask = side
-    if c_mask & ~y_mask:
+    if c_mask & ~side:
         raise InvalidInputError("C must be a subset of the chosen side")
-    adj = graph.adj
-    x_rem = x_mask
+    outside = side & ~c_mask
+    touched = x_mask & graph.nbhd(outside)
     supers: list[SuperVertex] = []
-    for u in bits_list(y_mask & ~c_mask):
-        u_bit = 1 << u
-        orig = adj[u] & x_rem
-        keep: list[SuperVertex] = []
-        s_new = orig
-        for sv in supers:
-            if sv.nbhd & u_bit:
-                s_new |= sv.s_mask
-            else:
-                keep.append(sv)
-        if s_new == 0:
-            # u's neighbors are already interior to a single super-vertex
-            continue
-        ns = graph.nbhd(s_new)
-        nsd = graph.interior(ns, s_new)
-        keep.append(SuperVertex(s_new, s_new | nsd, ns & ~nsd))
-        supers = keep
-        x_rem &= ~orig
-    state = ContractionState(c_mask, x_rem, supers)
-    # the never-absorbed vertices are exactly those with N(v) inside C
+    for comp in graph.components(touched | outside):
+        s = comp & x_mask
+        if s:       # a Y-vertex without neighbors merges nothing
+            ns = graph.nbhd(s)
+            nsd = graph.interior(ns, s)
+            supers.append(SuperVertex(s, s | nsd, ns & ~nsd))
+    state = ContractionState(x_mask & ~touched, supers)
+    # the untouched vertices are exactly those with N(v) inside C
     if state.r_mask != graph.interior(x_mask, c_mask):
         raise InvariantViolation("contraction kept a vertex with a neighbor outside C")
     if not state.x_partition_ok(x_mask):
@@ -209,10 +200,10 @@ def split_relative(state: ContractionState, rec: ClosedSetRecord):
 # -- phi-approximation ----------------------------------------------------------------
 
 
-@dataclass
-class PhiSampleConfig:
-    max_retries: int = 100
-    edge_coeff: float = 50.0       # boundary-edge threshold, times t / log^2 d
+# The sampler's retry cap and its boundary-edge threshold, as a multiple of
+# t / log^2 d; read at each call.
+PHI_RETRIES = 100
+PHI_EDGE_COEFF = 50.0
 
 
 @dataclass
@@ -238,22 +229,22 @@ def check_phi(graph: Graph, rec: ClosedSetRecord, f_mask: int,
 
 
 def phi_approx_sample(graph: CayleyGraph, rec: ClosedSetRecord, c_mask: int,
-                      seed: int = 0, cfg: Optional[PhiSampleConfig] = None,
-                      ) -> tuple[int, PhiSampleReport]:
+                      seed: int = 0) -> tuple[int, PhiSampleReport]:
     """Sample a phi-approximation F for the record, given a container C for
     its boundary, and return the mask of F with a report.
 
     Draws Q0 as a p-random subset of C intersected with G (p = 60 log d / d2,
-    clamped), retries until the four size properties hold, then assembles
-    Z1 from the sampled sets and the interior reconstruction and Z2 from a
-    greedy cover of the closure vertices Z1 misses.  The returned set always
-    passes check_phi; the sampled properties only certify sizes.
+    clamped), redraws (at most PHI_RETRIES draws) until the four size
+    properties hold, then assembles Z1 from the sampled sets and the
+    interior reconstruction and Z2 from a greedy cover of the closure
+    vertices Z1 misses.  The returned set always passes check_phi; the
+    sampled properties only certify sizes.
 
     Small-d degeneracy (p >= 1 or phi <= 0) returns F = G, which is always
     valid.
     """
-    if cfg is None:
-        cfg = PhiSampleConfig()
+    if not isinstance(graph, CayleyGraph):
+        raise InvalidInputError("sampler needs a Cayley graph")
     if graph.parts is None or not graph.is_connected():
         raise InvalidInputError("sampler needs a connected bipartite graph")
     if not rec.small:
@@ -288,24 +279,23 @@ def phi_approx_sample(graph: CayleyGraph, rec: ClosedSetRecord, c_mask: int,
     pool = bits_list(c_mask & rec.nbhd)
     thresholds = (
         50.0 * t / log2_d**2,           # |Q0|
-        cfg.edge_coeff * t / log2_d**2,
+        PHI_EDGE_COEFF * t / log2_d**2,
         5.0 * t / d**7,                 # uncovered supers
         5.0 * t / d**8,                 # uncovered heavy vertices
     )
 
     last_props = None
     last_vals = None
-    for attempt in range(cfg.max_retries):
+    for attempt in range(PHI_RETRIES):
         rng = random.Random(f"phi:{seed}:{attempt}")
         q0 = 0
         for y in pool:
             if rng.random() < p:
                 q0 |= 1 << y
-        # edges from Q0 into the non-closure part of the contracted graph
-        boundary_edges = 0
-        for y in iter_bits(q0):
-            boundary_edges += (adj[y] & r_ac).bit_count()
-            boundary_edges += sum(1 for sv in sup_ac if sv.nbhd >> y & 1)
+        # edges from Q0 into the non-closure part of the contracted graph:
+        # into R outside [A] by their Q0 ends, into a super-vertex by its nbhd
+        boundary_edges = (sum((adj[y] & r_ac).bit_count() for y in iter_bits(q0))
+                          + sum((sv.nbhd & q0).bit_count() for sv in sup_ac))
         missed_supers = sum(1 for sv in sup_a if sv.nbhd & q0 == 0)
         hit_r = graph.nbhd(q0) & r_a
         cover_y = graph.nbhd(hit_r)
@@ -329,7 +319,7 @@ def phi_approx_sample(graph: CayleyGraph, rec: ClosedSetRecord, c_mask: int,
             raise InvariantViolation("sampled F is not a phi-approximation")
         return f_mask, PhiSampleReport(False, attempt + 1, props, f_mask.bit_count())
     raise RetriesExhaustedError(
-        f"phi sampler failed {cfg.max_retries} retries; "
+        f"phi sampler failed {PHI_RETRIES} retries; "
         f"last values {last_vals} vs thresholds {thresholds} ({last_props})")
 
 
@@ -351,13 +341,16 @@ def psi_approx(graph: Graph, rec: ClosedSetRecord, f_mask: int, *,
     says the caller holds F from `phi_approx_sample` for this very record,
     which has just run the same check.
 
-    Loop 1 grows F by the full neighborhood of the least closure vertex that
-    still has psi neighbors outside F.  S then starts as every X-vertex with
-    at least d - psi neighbors in F, and loop 2 strips N(w) from S for the
-    least Y-vertex outside F with more than psi neighbors in S (vertices
-    inside F are exempt, which is what keeps the closure inside S).
-    Each loop-1 step adds at least psi vertices to F and each loop-2 step
-    removes at least one vertex from S, so termination is guaranteed.
+    Loop 1 passes over the closure in id order and grows F by the full
+    neighborhood of each vertex that still has psi neighbors in G outside
+    F.  S then starts as every X-vertex with at least d - psi neighbors in
+    F, and loop 2 passes over the Y-vertices outside F in id order and
+    strips N(w) from S for each w that still has more than psi neighbors in
+    S (vertices inside F are exempt, which is what keeps the closure inside
+    S).  Loop 1 only grows F and loop 2 only shrinks S, so a count only
+    falls and a vertex that fails its test once fails it for good: one
+    pass picks the same vertices, in the same order, as restarting from
+    the least vertex after each step.
     """
     d = regular_degree(graph)
     params = ApproxParams.for_degree(d)
@@ -369,25 +362,13 @@ def psi_approx(graph: Graph, rec: ClosedSetRecord, f_mask: int, *,
     y_side = graph.full_mask() & ~x_side
 
     f_prime = f_mask
-    while True:
-        candidate = -1
-        for u in iter_bits(rec.closure):
-            if (adj[u] & rec.nbhd & ~f_prime).bit_count() >= psi:
-                candidate = u
-                break
-        if candidate < 0:
-            break
-        f_prime |= adj[candidate]
+    for u in iter_bits(rec.closure):
+        if (adj[u] & rec.nbhd & ~f_prime).bit_count() >= psi:
+            f_prime |= adj[u]
     s_mask = graph.heavy(x_side, f_prime, d - psi)
-    while True:
-        candidate = -1
-        for w in iter_bits(y_side & ~f_prime):
-            if (adj[w] & s_mask).bit_count() > psi:
-                candidate = w
-                break
-        if candidate < 0:
-            break
-        s_mask &= ~adj[candidate]
+    for w in iter_bits(y_side & ~f_prime):
+        if (adj[w] & s_mask).bit_count() > psi:
+            s_mask &= ~adj[w]
     return PsiApprox(s_mask, f_prime)
 
 
@@ -459,6 +440,8 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryCont
     neighborhood is computed again.  Only a chain that trimmed its set has
     its end re-closed (the core) and its neighborhoods formed.
     """
+    if not isinstance(graph, CayleyGraph):
+        raise InvalidInputError("boundary container needs a Cayley graph")
     if graph.parts is None or not graph.is_connected():
         raise InvalidInputError("boundary container needs a connected bipartite graph")
     if not rec.small:

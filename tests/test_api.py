@@ -1,6 +1,7 @@
 """Guards against dead API, found by name in the syntax trees:
-- every public top-level function or class of the package is used by the
-  package itself, not only by tests and exports;
+- every public top-level function or class of the package, and every
+  public method or property of a package class, is used by the package
+  itself, not only by tests and exports;
 - every dataclass field of the package is read as an attribute somewhere in
   `src/`, `tests/` or `perfbench/`;
 - every defaulted parameter of a package function is passed, by keyword or
@@ -34,8 +35,10 @@ def _code() -> list[ast.Module]:
 
 
 def orphans(trees: dict[str, ast.Module]) -> list[str]:
-    """`module.name` for each public top-level def or class that no module
-    but `__init__` names, as an identifier or as an attribute."""
+    """`module.name` for each public top-level def or class, and
+    `module.Class.name` for each public method or property of a package
+    class, that no module but `__init__` names, as an identifier or as an
+    attribute."""
     used = set()
     for module, tree in trees.items():
         if module == "__init__":
@@ -45,11 +48,16 @@ def orphans(trees: dict[str, ast.Module]) -> list[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return [f"{module}.{node.name}"
-            for module, tree in trees.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in used]
+    defs = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{module}.{node.name}.{fn.name}", fn.name)
+                         for fn in node.body if isinstance(fn, ast.FunctionDef)]
+    return [qualname for qualname, name in defs
+            if not name.startswith("_") and name not in used]
 
 
 def _name(node: ast.expr) -> str | None:
@@ -189,6 +197,16 @@ def test_orphan_scan_finds_an_unused_function():
     trees = _trees()
     trees["extra"] = ast.parse("def unused():\n    pass\n\n\ndef _private():\n    pass\n")
     assert orphans(trees) == ["extra.unused"]
+
+
+def test_orphan_scan_finds_an_unused_method():
+    trees = _trees()
+    trees["extra"] = ast.parse(
+        "class Holder:\n    def unused_zz(self):\n        pass\n\n"
+        "    @property\n    def unread_zz(self):\n        return self.used_zz()\n\n"
+        "    def used_zz(self):\n        pass\n\n    def _private_zz(self):\n        pass\n\n\n"
+        "Holder()\n")
+    assert orphans(trees) == ["extra.Holder.unused_zz", "extra.Holder.unread_zz"]
 
 
 def test_every_dataclass_field_is_read():

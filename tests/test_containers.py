@@ -14,7 +14,8 @@ from cayleycount import containers
 from cayleycount.containers import (
     ApproxParams,
     CoverResult,
-    PhiSampleConfig,
+    PsiApprox,
+    SuperVertex,
     boundary_container,
     check_phi,
     check_psi,
@@ -26,12 +27,17 @@ from cayleycount.containers import (
     split_relative,
 )
 from cayleycount.counting import enumerate_small_2linked_closed
-from cayleycount.errors import InvalidInputError, InvariantViolation, UncoverableError
+from cayleycount.errors import (
+    InvalidInputError,
+    InvariantViolation,
+    RetriesExhaustedError,
+    UncoverableError,
+)
 from cayleycount.graphs import Graph, bits_list, build_cayley, closure, iter_bits, mask_of
 from cayleycount.groups import GeneratorSet, coords_to_id, make_group, symmetrize
 from cayleycount.sumsets import chain_witness_search, iterated_sumset, sumset
 from cayleycount.constructions import OddCirculantConfig, build_odd_circulant
-from cayleycount.verify import cycle_graph
+from cayleycount.verify import corpus_graphs, cycle_graph
 
 
 def big_band_graph():
@@ -240,6 +246,72 @@ def test_contract_partitions_x():
         assert state.x_partition_ok(g.parts[0])
 
 
+def _contract_by_merging(graph, c_mask, side):
+    """contract as a merge loop: each Y-vertex outside C, in id order, merges
+    its remaining X-neighbors and every super-vertex it borders into one."""
+    adj = graph.adj
+    x_rem = graph.full_mask() & ~side
+    supers = []
+    for u in bits_list(side & ~c_mask):
+        orig = adj[u] & x_rem
+        keep, s_new = [], orig
+        for sv in supers:
+            if sv.nbhd >> u & 1:
+                s_new |= sv.s_mask
+            else:
+                keep.append(sv)
+        if s_new == 0:
+            continue
+        ns = graph.nbhd(s_new)
+        nsd = graph.interior(ns, s_new)
+        supers = keep + [SuperVertex(s_new, s_new | nsd, ns & ~nsd)]
+        x_rem &= ~orig
+    return x_rem, supers
+
+
+def _as_merged(graph, c_mask, side):
+    """contract's R and super-vertices, and the merge loop's, each as R,
+    the number of super-vertices and the set of their fields."""
+    state = contract(graph, c_mask, side)
+    return [(r_mask, len(supers), {(sv.s_mask, sv.members, sv.nbhd) for sv in supers})
+            for r_mask, supers in ((state.r_mask, state.supers),
+                                   _contract_by_merging(graph, c_mask, side))]
+
+
+ORACLE_GRAPHS = [build_odd_circulant(OddCirculantConfig(n, d))
+                 for n, d in ((8, 3), (12, 3), (16, 5), (20, 5), (32, 7))] + [
+    g for _, g in list(corpus_graphs(12))[::7] if g.parts is not None and g.is_connected()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_GRAPHS + [cycle_graph(8), cycle_graph(12), cycle_graph(24)]),
+       st.integers(0, 1), st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]),
+       st.integers(0, 2 ** 32))
+def test_contract_matches_the_merge_loop(graph, which, density, seed):
+    side = graph.parts[which]
+    rng = random.Random(seed)
+    c_mask = mask_of(v for v in bits_list(side) if rng.random() < density)
+    new, old = _as_merged(graph, c_mask, side)
+    assert new == old
+
+
+def test_contract_matches_the_merge_loop_on_the_band_graph():
+    g = big_band_graph()
+    rec = closure(g, mask_of([0, 2, 4]))
+    y_side = g.full_mask() & ~rec.side
+    for c_mask in (rec.boundary, y_side, rec.nbhd):
+        new, old = _as_merged(g, c_mask, y_side)
+        assert new == old
+
+
+def test_contract_skips_a_y_vertex_without_neighbors():
+    # a path 0 - 1 - 2 with Y = {1, 3}, vertex 3 isolated
+    g = Graph([0b10, 0b101, 0b10, 0], parts=(0b101, 0b1010))
+    for c_mask in (0, 0b10, 0b1000):
+        new, old = _as_merged(g, c_mask, g.parts[1])
+        assert new == old
+
+
 def test_check_phi_basics():
     g = cycle_graph(8)
     rec = closure(g, mask_of([0, 2]))
@@ -285,6 +357,70 @@ def test_phi_sampler_nondegenerate():
         assert prep.size_bound_ok
 
 
+def _psi_approx_by_restarts(graph, rec, f_mask):
+    """psi_approx with each loop restarted from the least vertex after
+    every step."""
+    d = regular_degree(graph)
+    psi = ApproxParams.for_degree(d).psi
+    adj = graph.adj
+    y_side = graph.full_mask() & ~rec.side
+    f_prime = f_mask
+    while True:
+        grow = [u for u in iter_bits(rec.closure)
+                if (adj[u] & rec.nbhd & ~f_prime).bit_count() >= psi]
+        if not grow:
+            break
+        f_prime |= adj[grow[0]]
+    s_mask = graph.heavy(rec.side, f_prime, d - psi)
+    while True:
+        strip = [w for w in iter_bits(y_side & ~f_prime) if (adj[w] & s_mask).bit_count() > psi]
+        if not strip:
+            break
+        s_mask &= ~adj[strip[0]]
+    return PsiApprox(s_mask, f_prime)
+
+
+def _thinned(graph, rec, drop):
+    """F = G less the vertices of `drop`, each left out, in id order, while F
+    stays a phi-approximation: an F for which loop 1 has work."""
+    f_mask = rec.nbhd
+    for v in iter_bits(drop & rec.nbhd):
+        if check_phi(graph, rec, f_mask & ~(1 << v)):
+            f_mask &= ~(1 << v)
+    return f_mask
+
+
+PSI_ORACLE_RECORDS = [(g, rec) for g in ORACLE_GRAPHS for side in "XY"
+                      for rec in enumerate_small_2linked_closed(g, side)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PSI_ORACLE_RECORDS), st.sampled_from(["G", "sampled", "thinned"]),
+       st.integers(0, 3), st.integers(0, 2 ** 64 - 1))
+def test_psi_approx_matches_the_restart_loops(graph_rec, start, seed, drop):
+    graph, rec = graph_rec
+    if start == "G":
+        f_mask = rec.nbhd
+    elif start == "sampled":
+        f_mask, _ = phi_approx_sample(graph, rec, boundary_container(graph, rec).c_mask, seed)
+    else:
+        f_mask = _thinned(graph, rec, drop)
+    assert psi_approx(graph, rec, f_mask) == _psi_approx_by_restarts(graph, rec, f_mask)
+
+
+def test_psi_approx_matches_the_restart_loops_on_the_band_graph():
+    # the band graph is the one instance whose sampler is not degenerate
+    g = big_band_graph()
+    rng = random.Random(3)
+    for seed_mask in ([0, 2], [0, 2, 4], [0, 2, 4, 6, 8]):
+        rec = closure(g, mask_of(seed_mask))
+        for seed in range(2):
+            f_mask, rep = phi_approx_sample(g, rec, rec.boundary, seed)
+            assert not rep.degenerate
+            for f in (f_mask, _thinned(g, rec, rng.getrandbits(g.vcount))):
+                assert psi_approx(g, rec, f) == _psi_approx_by_restarts(g, rec, f)
+
+
 def test_psi_c8_trace():
     # degree 2: psi = d, the algorithm idles and returns (X, G)
     g = cycle_graph(8)
@@ -307,7 +443,6 @@ def test_psi_requires_phi_approximation():
 def test_check_psi_rejects_bad_pairs():
     g = cycle_graph(8)
     rec = closure(g, mask_of([0, 2]))
-    from cayleycount.containers import PsiApprox
     rep = check_psi(g, rec, PsiApprox(0, rec.nbhd))
     assert not rep.valid and not rep.covers_closure
 
@@ -455,12 +590,12 @@ def test_split_relative_classifies_supers():
         assert sv.s_mask & ~rec.closure
 
 
-def test_phi_retry_cap_reported():
+def test_phi_retry_cap_reported(monkeypatch):
+    monkeypatch.setattr(containers, "PHI_RETRIES", 100)
     g = big_band_graph()
     rec = closure(g, mask_of([0, 2]))
-    cfg = PhiSampleConfig(max_retries=100)
-    f_mask, rep = phi_approx_sample(g, rec, rec.boundary, seed=0, cfg=cfg)
-    assert rep.retries <= cfg.max_retries
+    f_mask, rep = phi_approx_sample(g, rec, rec.boundary, seed=0)
+    assert rep.retries <= containers.PHI_RETRIES
     assert rep.properties is not None and all(rep.properties)
 
 
@@ -480,23 +615,35 @@ def test_phi_sampler_with_full_container():
         assert check_phi(g, rec, f_mask)
 
 
-def test_phi_sampler_full_container_beyond_doubling_regime():
+def test_phi_sampler_full_container_beyond_doubling_regime(monkeypatch):
     # With C = Y nothing contracts, so the boundary-edge property needs the
     # standing doubling hypothesis |2D| >= d log^3 d, which no desk-scale
     # generator set satisfies.  Default thresholds therefore exhaust their
-    # retries here; the properties are config, and a threshold matching the
-    # actual p*t*d expectation lets the construction finish and stay valid.
-    from cayleycount.errors import RetriesExhaustedError
-
+    # retries here; the thresholds are module constants, and one matching
+    # the actual p*t*d expectation lets the construction finish and stay valid.
     big = big_band_graph()
     rec = closure(big, mask_of([0, 2, 4]))
-    with pytest.raises(RetriesExhaustedError):
-        phi_approx_sample(big, rec, big.parts[1], seed=2,
-                          cfg=PhiSampleConfig(max_retries=10))
-    loose = PhiSampleConfig(edge_coeff=2000.0)
-    f_mask, rep = phi_approx_sample(big, rec, big.parts[1], seed=2, cfg=loose)
+    with monkeypatch.context() as patch:
+        patch.setattr(containers, "PHI_RETRIES", 10)
+        with pytest.raises(RetriesExhaustedError):
+            phi_approx_sample(big, rec, big.parts[1], seed=2)
+    monkeypatch.setattr(containers, "PHI_EDGE_COEFF", 2000.0)
+    f_mask, rep = phi_approx_sample(big, rec, big.parts[1], seed=2)
     assert not rep.degenerate
     assert check_phi(big, rec, f_mask)
+
+
+def test_cayley_steps_refuse_a_plain_graph():
+    oc = build_odd_circulant(OddCirculantConfig(16, 5))
+    plain = Graph(oc.adj, oc.parts)
+    rec = closure(plain, 1, plain.parts[0])
+    for step in (lambda: boundary_container(plain, rec),
+                 lambda: phi_approx_sample(plain, rec, rec.boundary)):
+        with pytest.raises(InvalidInputError, match="needs a Cayley graph"):
+            step()
+    # psi and the checks take any regular bipartite graph
+    assert psi_approx(plain, rec, rec.nbhd) == psi_approx(oc, rec, rec.nbhd)
+    assert check_psi(plain, rec, psi_approx(plain, rec, rec.nbhd)).valid
 
 
 def test_container_pipeline_on_y_side_records():
