@@ -1,9 +1,13 @@
 """Command-line harness: build graphs, count, dump container tables, run
 verification suites, and emit per-record container certificates.
 
-Exit codes: 0 = all checks pass, 1 = a checked fact was violated,
-2 = instance exceeded a size budget (including a group or graph above
-`groups.MAX_ORDER`), 3 = usage error (including a bad CAYLEYCOUNT_SEED).
+Exit codes: 0 = all checks pass, 1 = a checked fact was violated
+(`InvariantViolation`, or a failed check in a report), 2 = instance exceeded
+a size budget (`InstanceTooLargeError`, including a group or graph above
+`groups.MAX_ORDER`), 3 = usage error (any other `CayleyCountError`: a bad
+input, or a randomized search that gave up; and argparse errors, including
+a bad CAYLEYCOUNT_SEED).  `main` is the only code that maps an exception to
+its exit code.
 
 `main` builds its parser once per process, on its first call, and reuses it,
 so an in-process caller pays for argparse once.  The parser holds nothing
@@ -30,13 +34,7 @@ from .constructions import (
     build_gadget_ring,
     build_odd_circulant,
 )
-from .errors import (
-    CayleyCountError,
-    InstanceTooLargeError,
-    InvalidInputError,
-    InvariantViolation,
-    SearchSpaceTooLargeError,
-)
+from .errors import CayleyCountError, InstanceTooLargeError, InvalidInputError, InvariantViolation
 from .graphs import (
     CayleyGraph,
     build_cayley,
@@ -89,11 +87,6 @@ def _emit(args: argparse.Namespace, payload: str) -> None:
         sys.stdout.write(payload)
 
 
-def _usage(message: str) -> int:
-    print(message, file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _parse_generators(spec: groups.GroupSpec, text: str, symmetrize: bool) -> GeneratorSet:
     text = text.strip()
     ids: set[int] = set()
@@ -105,11 +98,11 @@ def _parse_generators(spec: groups.GroupSpec, text: str, symmetrize: bool) -> Ge
                 ids.add(groups.coords_to_id(spec, coords))
         else:
             if len(spec.factors) != 1:
-                raise CayleyCountError(
+                raise InvalidInputError(
                     "plain residues only work for cyclic groups; use coordinate tuples")
             ids = {int(x) % spec.order for x in text.split(",")}
     except ValueError as exc:
-        raise CayleyCountError(f"generators must be integers, got {text!r}") from exc
+        raise InvalidInputError(f"generators must be integers, got {text!r}") from exc
     if symmetrize:
         ids = set(groups.symmetrize(spec, ids))
     return GeneratorSet(spec, ids)
@@ -131,7 +124,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         data = graph_to_json(graph, {"construction": "odd-circulant", "n": args.n, "d": args.d})
     else:
         if not args.group or not args.gens:
-            return _usage("build: need --group and --gens (or a construction name)")
+            raise InvalidInputError("build: need --group and --gens (or a construction name)")
         spec = groups.parse_group(args.group)
         gens = _parse_generators(spec, args.gens, args.symmetrize)
         graph = build_cayley(spec, gens)
@@ -206,7 +199,7 @@ def cmd_containers(args: argparse.Namespace) -> int:
     phi-approximation, refined psi-approximation."""
     graph = _load_graph(args.graph)
     if not isinstance(graph, CayleyGraph):
-        return _usage("containers: needs a Cayley graph input")
+        raise InvalidInputError("containers: needs a Cayley graph input")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["record", "a", "g", "t", "c_size", "f_size", "s_size",
@@ -251,21 +244,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     given = {f: getattr(args, f) for f in VERIFY_FLAGS if getattr(args, f) is not None}
     for flag in given:
         if flag not in takes:
-            return _usage(f"verify {suite}: takes no --{flag.replace('_', '-')}")
+            raise InvalidInputError(f"verify {suite}: takes no --{flag.replace('_', '-')}")
     if "seed" in takes:
         given["seed"] = args.seed
     if suite in ("psi", "phi") and given:
         if len(given) == 1:
-            return _usage(f"verify {suite}: --n and --d go together")
+            raise InvalidInputError(f"verify {suite}: --n and --d go together")
         given = {"instances": [(args.n, args.d)]}
     kwargs = {RENAMES.get((suite, f), f): value for f, value in given.items()}
-    try:
-        result = verify.ALL_SUITES[suite](**kwargs)
-    except (InstanceTooLargeError, SearchSpaceTooLargeError) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = verify.ALL_SUITES[suite](**kwargs)
     if not result.checked:
-        return _usage(f"verify {suite}: these caps leave nothing to check")
+        raise InvalidInputError(f"verify {suite}: these caps leave nothing to check")
     payload = {
         "suite": args.suite,
         "passed": result.passed,
@@ -355,7 +344,7 @@ def main(argv=None) -> int:
         if args.output:
             _check_output(args.output)
         code = globals()[args.func](args)
-    except (InstanceTooLargeError, SearchSpaceTooLargeError) as exc:
+    except InstanceTooLargeError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except InvariantViolation as exc:

@@ -13,11 +13,10 @@ from typing import Optional, Sequence
 
 from . import counting, groups
 from .errors import (
-    GadgetSearchError,
     InstanceTooLargeError,
     InvalidInputError,
     InvariantViolation,
-    MalformedIntervalsError,
+    RetriesExhaustedError,
 )
 from .graphs import (
     CayleyGraph,
@@ -106,7 +105,7 @@ def build_gadget(d: int, seed: int = 0) -> Graph:
         g = Graph(adj, parts=(mask_of(range(nx)), mask_of(range(nx, nx + nr))))
         if vertex_connectivity(g) >= d - 1:
             return g
-    raise GadgetSearchError(
+    raise RetriesExhaustedError(
         f"no ({d})-gadget found in {GADGET_ATTEMPTS} attempts; retry with a new seed")
 
 
@@ -173,12 +172,12 @@ def _validate_intervals(blocks: int, intervals: Sequence[tuple[int, int]]) -> li
     out = []
     for lo, hi in intervals:
         if not (1 <= lo <= hi <= blocks):
-            raise MalformedIntervalsError(f"interval ({lo},{hi}) out of range 1..{blocks}")
+            raise InvalidInputError(f"interval ({lo},{hi}) out of range 1..{blocks}")
         if lo % 2 == 0 or hi % 2 == 0:
-            raise MalformedIntervalsError(f"interval ({lo},{hi}) must start and end on odd blocks")
+            raise InvalidInputError(f"interval ({lo},{hi}) must start and end on odd blocks")
         span = set(range(lo, hi + 1))
         if span & seen_blocks:
-            raise MalformedIntervalsError("intervals must be pairwise disjoint")
+            raise InvalidInputError("intervals must be pairwise disjoint")
         seen_blocks |= span
         out.append((lo, hi))
     return sorted(out)

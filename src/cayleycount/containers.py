@@ -17,12 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import (
-    InvalidInputError,
-    InvariantViolation,
-    RetriesExhaustedError,
-    UncoverableError,
-)
+from .errors import InvalidInputError, InvariantViolation, RetriesExhaustedError
 from .graphs import CayleyGraph, ClosedSetRecord, Graph, bits_list, closure, iter_bits, mask_of
 from .sumsets import ChainWitness, chain_witness_search
 
@@ -93,7 +88,7 @@ def greedy_cover(universe: int, candidates: Sequence[int]) -> CoverResult:
     missed = universe & ~layers[0] if layers else universe
     if missed:
         v = (missed & -missed).bit_length() - 1
-        raise UncoverableError(f"universe element {v} lies in no candidate set")
+        raise InvalidInputError(f"universe element {v} lies in no candidate set")
     # the layers shrink, so the ones that hold the whole universe come first
     a_min = sum(1 for layer in layers if layer == universe)
     b_max = max(c.bit_count() for c in restricted)

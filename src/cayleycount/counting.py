@@ -13,8 +13,8 @@ with another:
 count, computed before it starts, is within FRONTIER_STATE_BUDGET and no
 larger than the branching engine's worst-case bound; otherwise it branches.
 The DP runs in id order, or in a breadth-first order where that order's
-bound is smaller.  The second order is formed only when the branching bound
-and the id-order bound both exceed V^2, which bounds the cost of forming it,
+bound is smaller.  The second order is formed only when the id-order bound
+exceeds V + E, the cost of forming it, and the branching bound exceeds V^2,
 so graphs of at most 17 vertices never form it.  Tests require all three
 routes to agree.
 """
@@ -146,9 +146,9 @@ def chosen_engine(graph: Graph) -> str:
 
     The bound is taken in id order, and also in a breadth-first order from
     the least vertex of each component (Cuthill-McKee's order, without its
-    degree sort) when both TAU^V and the id-order bound exceed V^2: forming
-    and bounding the second order costs O(V + E) <= V^2 steps, so it is
-    formed only where it can pay.  The DP runs over the order with the
+    degree sort) when the id-order bound exceeds V + E, the O(V + E) steps
+    of forming and bounding the second order, and TAU^V exceeds V^2, so it
+    is formed only where it can pay.  The DP runs over the order with the
     smaller bound, id order on a tie.  Each sum stops as soon as it passes
     its cap, so a graph without band structure costs a few vertices' work.
     The choice is made once per graph and kept on it.
@@ -171,9 +171,10 @@ def _choose_route(adj: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
     tau_v = TAU ** min(v_count, 1000)
     cap = min(FRONTIER_STATE_BUDGET, tau_v)
     bound = _state_bound(adj, cap)
-    # forming and bounding a second order costs at most V^2 steps
-    square = v_count ** 2
-    wide = bound > square and tau_v > square
+    # forming and bounding a second order costs O(V + E) steps; TAU^V > V^2
+    # keeps graphs of at most 17 vertices in id order
+    wide = (tau_v > v_count ** 2
+            and bound > v_count + sum(row.bit_count() for row in adj) // 2)
     if bound > cap and not wide or all(row.bit_count() <= 2 for row in adj):
         return "branching", adj
     if wide:
@@ -304,6 +305,13 @@ def lucas_number(n: int) -> int:
 # -- small 2-linked closed sets ---------------------------------------------------
 
 
+def _side_mask(graph: Graph, side: str) -> int:
+    """The vertices of side "X" (the first part) or "Y" (the second)."""
+    if side not in ("X", "Y"):
+        raise InvalidInputError(f"side must be 'X' or 'Y', got {side!r}")
+    return graph.parts[side == "Y"]
+
+
 def enumerate_small_2linked_closed(graph: Graph, side: str = "X",
                                    root: Optional[int] = None) -> Iterator[ClosedSetRecord]:
     """All closed ([A] = A), 2-linked, small sets on one side, each exactly
@@ -335,7 +343,7 @@ def enumerate_small_2linked_closed(graph: Graph, side: str = "X",
     """
     if graph.parts is None:
         raise InvalidInputError("enumeration requires a bipartite graph")
-    side_mask = graph.parts[0] if side == "X" else graph.parts[1]
+    side_mask = _side_mask(graph, side)
     n = side_mask.bit_count()
     adj = graph.adj
     # (state, N(state)); the empty state's children are the single-vertex
@@ -449,7 +457,7 @@ def orbit_representatives(graph: CayleyGraph,
     least of these, and the number of them equal to A is |Stab(A)|, so the
     orbit has n / |Stab(A)| sets, n = |H| the side size.
     """
-    side_mask = graph.parts[0] if side == "X" else graph.parts[1]
+    side_mask = _side_mask(graph, side)
     n = side_mask.bit_count()
     spec = graph.group
     r = (side_mask & -side_mask).bit_length() - 1
@@ -475,7 +483,7 @@ def container_table(graph: Graph, side: str = "X") -> ContainerTable:
     orbit's size n / |Stab(A)|; any other graph walks every closed set."""
     if graph.parts is None:
         raise InvalidInputError("container table requires a bipartite graph")
-    side_mask = graph.parts[0] if side == "X" else graph.parts[1]
+    side_mask = _side_mask(graph, side)
     table = ContainerTable(n=side_mask.bit_count())
     weighted = (orbit_representatives(graph, side) if isinstance(graph, CayleyGraph)
                 else ((rec, 1) for rec in enumerate_small_2linked_closed(graph, side)))

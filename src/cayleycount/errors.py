@@ -1,45 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per outcome.  `cli.main`
+maps each to its exit code, and no other code does."""
 
 
 class CayleyCountError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; the CLI exits 3 on one it does not
+    name."""
 
 
 class InvariantViolation(CayleyCountError):
-    """A guaranteed fact failed at run time: a bug, not a bad input."""
-
-
-class InvalidGroupError(CayleyCountError):
-    """Malformed group description (e.g. a cyclic factor below 2)."""
-
-
-class InvalidGeneratorsError(CayleyCountError):
-    """Generator set violates symmetry or contains the identity."""
-
-
-class InvalidInputError(CayleyCountError):
-    """Operation preconditions violated (wrong side, empty input, ...)."""
+    """A guaranteed fact failed at run time: a bug, not a bad input (exit 1)."""
 
 
 class InstanceTooLargeError(CayleyCountError):
-    """Instance exceeds the configured size budget for an exact computation."""
+    """An instance, or an exhaustive search's space, exceeds its size budget
+    (exit 2)."""
 
 
-class SearchSpaceTooLargeError(CayleyCountError):
-    """Exhaustive witness search would exceed the configured subset cap."""
-
-
-class UncoverableError(CayleyCountError):
-    """A cover instance contains an element that no candidate set covers."""
+class InvalidInputError(CayleyCountError):
+    """A bad input: a malformed group, generator set, interval family or
+    cover instance, a wrong side, an empty set, ... (exit 3)."""
 
 
 class RetriesExhaustedError(CayleyCountError):
-    """Randomized sampler failed to satisfy its properties within the retry cap."""
-
-
-class GadgetSearchError(CayleyCountError):
-    """Randomized gadget search exhausted its attempt budget."""
-
-
-class MalformedIntervalsError(CayleyCountError):
-    """Interval family violates the parity/distinctness rules."""
+    """A randomized search (phi sampler, gadget search) gave up after its
+    attempt cap (exit 3)."""

@@ -16,12 +16,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from . import groups, sumsets
-from .errors import (
-    InstanceTooLargeError,
-    InvalidGeneratorsError,
-    InvalidInputError,
-    InvariantViolation,
-)
+from .errors import InstanceTooLargeError, InvalidInputError, InvariantViolation
 from .groups import GeneratorSet, GroupSpec, bits_list, iter_bits, mask_of
 
 
@@ -173,7 +168,7 @@ class CayleyGraph(Graph):
 
     def __init__(self, group: GroupSpec, gens: GeneratorSet):
         if gens.spec != group:
-            raise InvalidGeneratorsError("generator set built for a different group")
+            raise InvalidInputError("generator set built for a different group")
         n = group.order
         ids = bits_list(gens.mask)
         adj = [0] * n

@@ -37,12 +37,7 @@ from math import prod
 from operator import xor
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import (
-    InstanceTooLargeError,
-    InvalidGeneratorsError,
-    InvalidGroupError,
-    InvalidInputError,
-)
+from .errors import InstanceTooLargeError, InvalidInputError
 
 # The largest group order, and graph vertex count, taken as input: checked
 # before a generator mask or an adjacency list is allocated.
@@ -61,9 +56,9 @@ class GroupSpec:
 
     def __post_init__(self) -> None:
         if not self.factors or any(m < 2 for m in self.factors):
-            raise InvalidGroupError(f"cyclic factors must all be >= 2, got {self.factors}")
+            raise InvalidInputError(f"cyclic factors must all be >= 2, got {self.factors}")
         if any(b % a for a, b in zip(self.factors, self.factors[1:])):
-            raise InvalidGroupError(
+            raise InvalidInputError(
                 f"factors {self.factors} are not an invariant-factor chain (each dividing "
                 "the next); make_group canonicalizes any factor list")
 
@@ -127,10 +122,10 @@ def make_group(factors: Sequence[int]) -> GroupSpec:
     isomorphic inputs produce equal specs.  An order above MAX_ORDER is
     refused before the factors are factored."""
     if not factors:
-        raise InvalidGroupError("need at least one factor")
+        raise InvalidInputError("need at least one factor")
     for m in factors:
         if not isinstance(m, int) or m < 2:
-            raise InvalidGroupError(f"invalid cyclic factor {m!r}")
+            raise InvalidInputError(f"invalid cyclic factor {m!r}")
     order = prod(factors)
     if order > MAX_ORDER:
         raise InstanceTooLargeError(f"group order {order} exceeds the size budget {MAX_ORDER}")
@@ -139,9 +134,6 @@ def make_group(factors: Sequence[int]) -> GroupSpec:
 
 def _partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n as non-increasing tuples."""
-    if n == 0:
-        yield ()
-        return
 
     def rec(rest: int, cap: int) -> Iterator[tuple[int, ...]]:
         if rest == 0:
@@ -160,7 +152,7 @@ def enumerate_abelian_groups(order: int) -> list[GroupSpec]:
     A fresh list on every call; the classes are computed once per order.
     An order above MAX_ORDER is refused before it is factored."""
     if order < 2:
-        raise InvalidGroupError("order must be >= 2")
+        raise InvalidInputError("order must be >= 2")
     if order > MAX_ORDER:
         raise InstanceTooLargeError(f"group order {order} exceeds the size budget {MAX_ORDER}")
     return list(_abelian_groups(order))
@@ -302,15 +294,15 @@ class GeneratorSet:
         mask = 0
         for x in elems:
             if not (0 <= x < spec.order):
-                raise InvalidGeneratorsError(f"element id {x} out of range")
+                raise InvalidInputError(f"element id {x} out of range")
             mask |= 1 << x
         if not mask:
-            raise InvalidGeneratorsError("generator set must be nonempty")
+            raise InvalidInputError("generator set must be nonempty")
         if mask & 1:
-            raise InvalidGeneratorsError("0 in D would create self-loops")
+            raise InvalidInputError("0 in D would create self-loops")
         for x in iter_bits(mask):
             if not mask >> neg_id(spec, x) & 1:
-                raise InvalidGeneratorsError(f"D is not symmetric: missing -({x})")
+                raise InvalidInputError(f"D is not symmetric: missing -({x})")
         self.spec = spec
         self.mask = mask
         self._d2: Optional[int] = None
@@ -379,9 +371,9 @@ def parse_group(text: str) -> GroupSpec:
             data = json.loads(text)
             return make_group(data["factors"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidGroupError(f"bad group JSON: {exc}") from exc
+            raise InvalidInputError(f"bad group JSON: {exc}") from exc
     if not _GROUP_RE.match(text):
-        raise InvalidGroupError(f"cannot parse group spec {text!r}")
+        raise InvalidInputError(f"cannot parse group spec {text!r}")
     return make_group([int(m) for m in re.findall(r"\d+", text)])
 
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import groups
-from .errors import InvalidInputError, InvariantViolation, SearchSpaceTooLargeError
+from .errors import InstanceTooLargeError, InvalidInputError, InvariantViolation
 from .groups import GeneratorSet, GroupSpec, bits_list, iter_bits, sumset
 
 # The largest |M| each exhaustive search takes
@@ -105,7 +105,7 @@ def prp_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int]) -> Pr
     j = len(powers)
     m = m_set.bit_count()
     if m > WITNESS_CAP:
-        raise SearchSpaceTooLargeError(f"|M| = {m} exceeds exhaustive cap {WITNESS_CAP}")
+        raise InstanceTooLargeError(f"|M| = {m} exceeds exhaustive cap {WITNESS_CAP}")
     md = sumset(spec, m_set, powers[0]).bit_count()
     jd = powers[-1]
     bits = [1 << x for x in iter_bits(m_set)]
@@ -226,7 +226,7 @@ def chain_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int],
     budget = t * c_frac.denominator // c_frac.numerator
 
     if mode == "exhaustive" and m > CHAIN_CAP:
-        raise SearchSpaceTooLargeError(f"|M| = {m} exceeds exhaustive cap {CHAIN_CAP}")
+        raise InstanceTooLargeError(f"|M| = {m} exceeds exhaustive cap {CHAIN_CAP}")
 
     # rhs[i] is the level-i bound, floored since lhs is an integer
     rhs = [_chain_bound(m, i, c_frac, t) for i in range(k + 1)]

@@ -9,7 +9,9 @@
 - so is every dataclass field with a plain default (a parameter of the
   generated `__init__`), unless some code assigns it as an attribute;
 - no `functools` cache wraps a function whose first parameter is a
-  `GroupSpec`: per-group data lives on the spec, so no call hashes one."""
+  `GroupSpec`: per-group data lives on the spec, so no call hashes one;
+- every exception class of `errors.py` is told apart by some `except` in
+  the package, so no two classes stand for one outcome."""
 
 import ast
 from pathlib import Path
@@ -179,6 +181,28 @@ def spec_keyed_caches(trees: dict[str, ast.Module]) -> list[str]:
     return out
 
 
+def indistinct_errors(trees: dict[str, ast.Module], exempt: set[str]) -> list[str]:
+    """`errors.Class` for each class of the `errors` module, not in
+    `exempt`, that no `except` clause of the package tells apart: named by
+    none, or only in tuples with a class defined before it in `errors`, so
+    that the two always lead to the same handler."""
+    order = [node.name for node in trees["errors"].body if isinstance(node, ast.ClassDef)]
+    apart = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ExceptHandler) and node.type is not None):
+                continue
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            named = [order.index(n) for n in map(_name, types) if n in order]
+            if named:
+                apart.add(order[min(named)])
+    return [f"errors.{name}" for name in order if name not in apart | exempt]
+
+
+# reaches its exit code through the `CayleyCountError` handler of `cli.main`
+UNNAMED_ERRORS = {"InvalidInputError"}
+
+
 def cli_dispatch() -> dict[str, set[str]]:
     """The keywords `cayleycount verify` passes to each sweep: its flags
     under their RENAMES, and `instances` for the --n/--d pair of psi and phi."""
@@ -260,3 +284,25 @@ def test_cache_scan_finds_a_spec_keyed_cache():
         "    def method_zz(self, spec: groups.GroupSpec):\n        pass\n")
     assert spec_keyed_caches(trees) == [
         "extra.by_spec_zz", "extra.by_group_zz", "extra.HolderZz.method_zz"]
+
+
+def test_every_error_class_is_told_apart():
+    assert indistinct_errors(_trees(), UNNAMED_ERRORS) == []
+
+
+def test_error_scan_finds_classes_no_except_tells_apart():
+    trees = _trees()
+    trees["errors"] = ast.parse(
+        ast.unparse(trees["errors"]) + "\n\n\nclass UnnamedZzError(CayleyCountError):\n    pass\n"
+        "\n\nclass AloneZzError(CayleyCountError):\n    pass\n"
+        "\n\nclass PairedZzError(CayleyCountError):\n    pass\n"
+        "\n\nclass PairedLaterZzError(CayleyCountError):\n    pass\n")
+    # PairedLaterZzError is caught only with PairedZzError, defined before it
+    trees["extra"] = ast.parse(
+        "try:\n    pass\nexcept AloneZzError:\n    pass\n"
+        "except (ValueError, errors.PairedLaterZzError, PairedZzError) as exc:\n    pass\n"
+        "except:\n    pass\n")
+    assert indistinct_errors(trees, UNNAMED_ERRORS) == [
+        "errors.UnnamedZzError", "errors.PairedLaterZzError"]
+    assert indistinct_errors(trees, set()) == [
+        "errors.InvalidInputError", "errors.UnnamedZzError", "errors.PairedLaterZzError"]

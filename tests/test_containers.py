@@ -31,7 +31,6 @@ from cayleycount.errors import (
     InvalidInputError,
     InvariantViolation,
     RetriesExhaustedError,
-    UncoverableError,
 )
 from cayleycount.graphs import Graph, bits_list, build_cayley, closure, iter_bits, mask_of
 from cayleycount.groups import GeneratorSet, coords_to_id, make_group, symmetrize
@@ -81,7 +80,7 @@ def test_greedy_cover_matching_is_tight():
 
 
 def test_greedy_cover_uncoverable():
-    with pytest.raises(UncoverableError):
+    with pytest.raises(InvalidInputError, match="universe element 1 lies in no candidate set"):
         greedy_cover(0b11, [0b01])
 
 
@@ -109,7 +108,7 @@ def _greedy_cover_dict_counts(universe, candidates):
             cover_count[v] = cover_count.get(v, 0) + 1
     for v in iter_bits(universe):
         if v not in cover_count:
-            raise UncoverableError(f"universe element {v} lies in no candidate set")
+            raise InvalidInputError(f"universe element {v} lies in no candidate set")
     a_min = min(cover_count[v] for v in iter_bits(universe))
     b_max = max(c.bit_count() for c in restricted)
     chosen, covered = [], 0
@@ -130,7 +129,7 @@ def _greedy_cover_dict_counts(universe, candidates):
 def _outcome(fn, universe, candidates):
     try:
         return fn(universe, candidates)
-    except (UncoverableError, InvariantViolation) as exc:
+    except (InvalidInputError, InvariantViolation) as exc:
         return type(exc), str(exc)
 
 
@@ -355,6 +354,25 @@ def test_phi_sampler_nondegenerate():
         prep = check_psi(g, rec, psi)
         assert prep.valid
         assert prep.size_bound_ok
+
+
+def test_phi_sampler_with_a_super_vertex_inside_the_closure():
+    # A = N(y) for a Y-vertex y, and C = G' = G - y: y lies outside C, so the
+    # contraction merges N(y) into one super-vertex inside the closure, whose
+    # member y is rebuilt as an interior vertex, and whose neighborhood a
+    # draw of Q0 that meets it adds to Z1
+    g = big_band_graph()
+    y = 1
+    rec = closure(g, g.adj[y])
+    assert rec.small and rec.boundary == rec.nbhd & ~(1 << y)
+    state = contract(g, rec.boundary, side=g.full_mask() & ~rec.side)
+    _, _, sup_a, _ = split_relative(state, rec)
+    assert [sv.s_mask for sv in sup_a] == [g.adj[y]]
+    assert sup_a[0].members & ~rec.side == 1 << y
+    for seed in range(3):
+        f_mask, rep = phi_approx_sample(g, rec, rec.boundary, seed)
+        assert not rep.degenerate and rep.retries == 1
+        assert check_phi(g, rec, f_mask)
 
 
 def _psi_approx_by_restarts(graph, rec, f_mask):

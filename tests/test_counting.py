@@ -257,16 +257,25 @@ def test_engine_choice():
         ring = build_gadget_ring(GadgetRingConfig(d=3, t=3, seed=seed)).graph
         assert chosen_engine(ring) == "frontier"
     # a band goes to the frontier DP in id order: its bound sum_v 2^|L_v|
-    # (2 at v = 0, 4 at v = 1..38, 1 at v = 39) is below 40^2, so no second
-    # order is formed.  The choice is kept on the graph, so each budget
-    # gets a new one
+    # (2 at v = 0, 4 at v = 1..38, 1 at v = 39) exceeds V + E = 40 + 58, so
+    # the breadth-first order is formed, but that order is id order itself,
+    # and the tie keeps the graph's own rows.  The choice is kept on the
+    # graph, so each budget gets a new one
     for budget, engine in ((2 + 4 * 38 + 1, "frontier"), (2 + 4 * 38, "branching")):
         with patch.object(counting, "FRONTIER_STATE_BUDGET", budget):
             assert chosen_engine(_ladder(20)) == engine
     ladder = _ladder(20)
-    with patch.object(counting, "_breadth_first_order", _refuse_a_second_order):
-        assert chosen_engine(ladder) == "frontier"
+    assert counting._breadth_first_order(ladder.adj) == list(range(40))
+    assert chosen_engine(ladder) == "frontier"
     assert counting._route(ladder)[1] is ladder.adj
+    # the d=3, t=100 ring's id-order bound is below V^2 but above V + E =
+    # 5,000, so its breadth-first order is formed, and its bound is lower
+    ring = build_gadget_ring(GadgetRingConfig(d=3, t=100, seed=1)).graph
+    bfs_rows = counting._relabeled(ring.adj, counting._breadth_first_order(ring.adj))
+    assert counting._state_bound(ring.adj, counting.FRONTIER_STATE_BUDGET) == 624_359
+    assert counting._state_bound(bfs_rows, counting.FRONTIER_STATE_BUDGET) == 155_167
+    assert counting._route(ring) == ("frontier", bfs_rows)
+    assert count_independent_sets(ring, budget=2000) == counting._count_frontier(ring.adj)
     # shuffled, the ladder is no band in id order, but its breadth-first
     # order is one, and the DP runs over that order
     shuffled = list(range(40))
@@ -289,8 +298,8 @@ def test_breadth_first_order():
 
 
 def test_odd_circulants_keep_id_order(monkeypatch):
-    # both bounds exceed V^2, so the breadth-first order is formed, and its
-    # bound is the higher one: (20,5) 38,911 against 30,783 in id order,
+    # the id-order bound exceeds V + E and TAU^V exceeds V^2, so the
+    # breadth-first order is formed, and its bound is the higher one: (20,5) 38,911 against 30,783 in id order,
     # (40,9) 44.6M against 16.3M
     formed = []
     order = counting._breadth_first_order
@@ -304,7 +313,7 @@ def test_odd_circulants_keep_id_order(monkeypatch):
 
 def test_a_tie_keeps_id_order(monkeypatch):
     # a path of four 10-cliques, each joined to the next by one edge: its
-    # bound in id order is above 40^2, and its breadth-first order is id
+    # bound in id order is above V + E, and its breadth-first order is id
     # order itself, so the two bounds tie and the graph's own rows are kept
     edges = [(b * 10 + i, b * 10 + j) for b in range(4) for i in range(10) for j in range(i + 1, 10)]
     edges += [(b * 10 + 9, b * 10 + 10) for b in range(3)]
@@ -464,6 +473,18 @@ def test_container_table_c8():
     assert table.entries == {(1, 2): 4, (2, 3): 4}
     assert table.closed_entries == {(1, 2): 4, (2, 3): 4}
     assert table.rows() == [(1, 2, 1, 4), (2, 3, 1, 4)]
+
+
+def test_a_side_other_than_x_or_y_is_refused():
+    graph = cycle_graph(8)
+    for side in ("x", "Z"):
+        message = f"side must be 'X' or 'Y', got '{side}'"
+        with pytest.raises(InvalidInputError, match=message):
+            list(enumerate_small_2linked_closed(graph, side))
+        with pytest.raises(InvalidInputError, match=message):
+            list(orbit_representatives(graph, side))
+        with pytest.raises(InvalidInputError, match=message):
+            container_table(graph, side)
 
 
 def test_container_table_c4_empty():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleycount import groups
-from cayleycount.errors import InvalidInputError, SearchSpaceTooLargeError
+from cayleycount.errors import InstanceTooLargeError, InvalidInputError
 from cayleycount.graphs import iter_bits, mask_of
 from cayleycount.groups import (
     GeneratorSet,
@@ -110,7 +111,7 @@ def test_prp_examples():
     assert wit.lhs == 5 and wit.lhs <= wit.rhs
     wit = prp_witness_search(z64, mask_of({0, 7, 9}), chain_powers(z64, mask_of({0}), 2))
     assert wit.alpha == 1 and wit.witness == mask_of({0, 7, 9})
-    with pytest.raises(SearchSpaceTooLargeError):
+    with pytest.raises(InstanceTooLargeError, match=r"\|M\| = 30 exceeds exhaustive cap"):
         prp_witness_search(z64, mask_of(set(range(30))), chain_powers(z64, mask_of({0, 1}), 1))
     with pytest.raises(InvalidInputError):
         prp_witness_search(z64, mask_of(set()), chain_powers(z64, mask_of({0}), 1))
@@ -192,7 +193,7 @@ def _chain_search_with_d(spec, m_set, d_set, k, c, mode):
         raise InvalidInputError("|M + D| < |M|: chain precondition violated")
     budget = t * c_frac.denominator // c_frac.numerator
     if mode == "exhaustive" and m > CHAIN_CAP:
-        raise SearchSpaceTooLargeError(f"|M| = {m} exceeds exhaustive cap {CHAIN_CAP}")
+        raise InstanceTooLargeError(f"|M| = {m} exceeds exhaustive cap {CHAIN_CAP}")
     powers = [d_set]
     for _ in range(k):
         powers.append(sumset(spec, powers[-1], d_set))
@@ -262,6 +263,40 @@ def test_chain_search_on_powers_matches_the_search_on_d(order, data):
     c_exact = c if isinstance(c, int) else Fraction(c).limit_denominator(10**6)
     got = chain_witness_search(spec, m_set, chain_powers(spec, d_set, k), c_exact, mode)
     assert got == _chain_search_with_d(spec, m_set, d_set, k, c, mode)
+
+
+def _random_symmetric_set(spec, size, seed):
+    """A symmetric set of `size` nonzero elements, drawn as pairs {x, -x}."""
+    rng, out = random.Random(seed), set()
+    while len(out) < size:
+        x = rng.randrange(1, spec.order)
+        out |= {x, groups.neg_id(spec, x)}
+    return mask_of(out)
+
+
+def test_greedy_chain_removes_elements_until_a_level_holds():
+    # a large random D makes |M + 2D| exceed its bound, so the greedy search
+    # has to trim M: {0, 5} + 2D has 1,262 elements against a bound of
+    # 2 + 16 t = 1,218, and dropping one element brings it to 723
+    z4096 = make_group([4096])
+    d_set = _random_symmetric_set(z4096, 40, 1)
+    wit = chain_witness_search(z4096, mask_of({0, 5}), chain_powers(z4096, d_set, 1), 4, "greedy")
+    assert wit.success and wit.t == 76
+    assert [m.bit_count() for m in wit.chain] == [2, 1]
+    assert sumset(z4096, mask_of({0, 5}), sumset(z4096, d_set, d_set)).bit_count() == 1262
+    assert wit.bounds == [(1, 723, 1218)]
+    assert wit == _chain_search_with_d(z4096, mask_of({0, 5}), d_set, 1, 4, "greedy")
+    # of three elements, the one whose removal leaves the least sumset goes
+    m_set = mask_of({322, 543, 1843})
+    wit = chain_witness_search(z4096, m_set, chain_powers(z4096, d_set, 1), 4, "greedy")
+    assert wit.success and wit.chain == [m_set, mask_of({322, 543})]
+    assert wit == _chain_search_with_d(z4096, m_set, d_set, 1, 4, "greedy")
+    # a single element cannot be trimmed: |2D| = 1,431 > 1 + 16 * 59
+    d_set = _random_symmetric_set(z4096, 60, 1)
+    assert sumset(z4096, d_set, d_set).bit_count() == 1431
+    wit = chain_witness_search(z4096, mask_of({0}), chain_powers(z4096, d_set, 1), 4, "greedy")
+    assert not wit.success and wit.chain == [mask_of({0})] and wit.bounds == []
+    assert wit == _chain_search_with_d(z4096, mask_of({0}), d_set, 1, 4, "greedy")
 
 
 @settings(max_examples=200, deadline=None)
