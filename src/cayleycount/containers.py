@@ -8,6 +8,13 @@ Everything here operates on a d-regular bipartite graph and a closed-set
 record (A on side X, closure [A], neighborhood G, boundary G').  The small-d
 degenerate regimes take explicit fallback paths instead of failing, since
 desk-scale instances sit below the asymptotic parameter window.
+
+A boundary container reads what the record already fixes.  An X-vertex
+sees M = Y \\ G_core exactly when it lies outside the closed core, and a
+Y-vertex sees X \\ core exactly when it lies in M or G'_core, so
+M + D = X \\ core, M + 2D = M | G'_core and M + 3D = (X \\ core) | N(G'_core).
+A neighborhood cover reads the multiplicity of u off its adjacency column,
+|N(u) & pool|; covers of arbitrary sets count it in unary layers.
 """
 
 from __future__ import annotations
@@ -15,11 +22,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import InvalidInputError, InvariantViolation, RetriesExhaustedError
 from .graphs import CayleyGraph, ClosedSetRecord, Graph, bits_list, closure, iter_bits, mask_of
-from .sumsets import ChainWitness, chain_witness_search
+from .sumsets import _chain_bound, chain_witness_search
 
 
 def regular_degree(graph: Graph) -> int:
@@ -38,7 +46,9 @@ class ApproxParams:
     psi: float
 
     @classmethod
+    @lru_cache(maxsize=None)
     def for_degree(cls, d: int) -> "ApproxParams":
+        """The thresholds of degree d, formed once per degree."""
         if d >= 2:
             log_d = math.log2(d)
             phi = d - math.sqrt(d) / log_d
@@ -67,30 +77,35 @@ class CoverResult:
                                # over the universe, b the largest candidate in it
 
 
-def greedy_cover(universe: int, candidates: Sequence[int]) -> CoverResult:
+def greedy_cover(universe: int, candidates: Sequence[int], *,
+                 a_min: Optional[int] = None) -> CoverResult:
     """Greedy max-coverage selection of candidate sets until the universe is
     covered.  The selection provably stays within (|B|/a)(1 + ln b), which is
-    checked on every call."""
+    checked on every call.  The least cover multiplicity a is counted here
+    unless the caller passes it as `a_min` (`neighborhood_cover` does)."""
     if universe == 0:
         return CoverResult([], 0, 0.0)
     restricted = [c & universe for c in candidates]
-    # layers[j]: the elements in at least j + 1 candidates; a candidate
-    # carries the elements it holds up through the layers that hold them
-    layers: list[int] = []
-    for carry in restricted:
-        for j, layer in enumerate(layers):
-            if not carry:
-                break
-            carry, layers[j] = carry & layer, layer | carry
-        else:
-            if carry:
-                layers.append(carry)
-    missed = universe & ~layers[0] if layers else universe
-    if missed:
+    if a_min is None:
+        # layers[j]: the elements in at least j + 1 candidates; a candidate
+        # carries the elements it holds up through the layers that hold them
+        layers: list[int] = []
+        for carry in restricted:
+            for j, layer in enumerate(layers):
+                if not carry:
+                    break
+                carry, layers[j] = carry & layer, layer | carry
+            else:
+                if carry:
+                    layers.append(carry)
+        # the layers shrink, so the ones that hold the whole universe come first
+        a_min = sum(1 for layer in layers if layer == universe)
+    if not a_min:
+        missed = universe
+        for c in restricted:
+            missed &= ~c
         v = (missed & -missed).bit_length() - 1
         raise InvalidInputError(f"universe element {v} lies in no candidate set")
-    # the layers shrink, so the ones that hold the whole universe come first
-    a_min = sum(1 for layer in layers if layer == universe)
     b_max = max(c.bit_count() for c in restricted)
     chosen: list[int] = []
     covered = 0
@@ -110,11 +125,14 @@ def greedy_cover(universe: int, candidates: Sequence[int]) -> CoverResult:
 
 def neighborhood_cover(graph: Graph, universe: int, pool: int) -> int:
     """Greedy-cover `universe` by the neighborhoods of the vertices in
-    `pool`; the chosen pool vertices, as a mask (0 for an empty universe)."""
+    `pool`; the chosen pool vertices, as a mask (0 for an empty universe).
+    Adjacency is symmetric, so u lies in |N(u) & pool| candidates."""
     if not universe:
         return 0
+    adj = graph.adj
     verts = bits_list(pool)
-    res = greedy_cover(universe, [graph.adj[v] for v in verts])
+    a_min = min((adj[u] & pool).bit_count() for u in iter_bits(universe))
+    res = greedy_cover(universe, [adj[v] for v in verts], a_min=a_min)
     return mask_of(verts[i] for i in res.chosen)
 
 
@@ -357,9 +375,10 @@ def psi_approx(graph: Graph, rec: ClosedSetRecord, f_mask: int, *,
     y_side = graph.full_mask() & ~x_side
 
     f_prime = f_mask
-    for u in iter_bits(rec.closure):
-        if (adj[u] & rec.nbhd & ~f_prime).bit_count() >= psi:
-            f_prime |= adj[u]
+    if rec.nbhd & ~f_mask:      # with G inside F, loop 1 has nothing to add
+        for u in iter_bits(rec.closure):
+            if (adj[u] & rec.nbhd & ~f_prime).bit_count() >= psi:
+                f_prime |= adj[u]
     s_mask = graph.heavy(x_side, f_prime, d - psi)
     for w in iter_bits(y_side & ~f_prime):
         if (adj[w] & s_mask).bit_count() > psi:
@@ -410,10 +429,26 @@ class BoundaryContainer:
     core: int = 0                   # the trimmed closed subset of the closure
 
 
-def _untrimmed(chain: ChainWitness) -> bool:
-    """The chain removed nothing from M and reached level 2, so its level
-    sums M + 2D and M + 3D are N^2(M) and N^3(M) on the Cayley graph."""
-    return chain.chain[-1] == chain.chain[0] and len(chain.sums) > 2
+def _outside_chain(graph: CayleyGraph, core_rec: ClosedSetRecord,
+                   outside: int) -> tuple[int, int, int]:
+    """(M', N^2(M'), N^3(M')) for the outside set M = Y \\ G_core of a
+    closed core, M' the end of M's depth-2 chain.  M's level sums follow
+    from the identities in the module docstring; a search whose bounds hold
+    on them removes nothing and returns them, so it runs only when t < 0 or
+    a bound fails."""
+    x_out = core_rec.side & ~core_rec.closure
+    m = outside.bit_count()
+    t = x_out.bit_count() - m
+    n2_m = outside | core_rec.boundary
+    n3_m = x_out | graph.nbhd(core_rec.boundary)
+    powers, _, c_out = graph.chain_inputs()
+    if (t >= 0 and n2_m.bit_count() <= _chain_bound(m, 1, c_out, t)
+            and n3_m.bit_count() <= _chain_bound(m, 2, c_out, t)):
+        return outside, n2_m, n3_m
+    m_prime = chain_witness_search(graph.group, outside, powers[:3], c_out,
+                                   mode="greedy").chain[-1]
+    n2_m = graph.nbhd_iter(m_prime, 2)
+    return m_prime, n2_m, graph.nbhd(n2_m)
 
 
 def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryContainer:
@@ -428,12 +463,12 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryCont
     (small degree), the trivially valid C = G' is returned instead.  The
     chain constant is c = log^2 d.
 
-    N^2 and N^3 of the core and of the trimmed outside set M' come from
-    their chain searches, whose level sums M + (i+1)D are exactly the
-    iterated neighborhoods N^(i+1)(M) on a Cayley graph: when a chain
-    removes nothing, its end is its start, and neither re-closing nor a
-    neighborhood is computed again.  Only a chain that trimmed its set has
-    its end re-closed (the core) and its neighborhoods formed.
+    N^2 and N^3 of the core come from its chain search, whose level sums
+    M + (i+1)D are exactly the iterated neighborhoods N^(i+1)(M) on a
+    Cayley graph: when the chain removes nothing, its end is [A], and
+    neither re-closing nor a neighborhood is computed again; a trimmed core
+    is re-closed and its neighborhoods formed.  Those of the outside set
+    come from `_outside_chain`.
     """
     if not isinstance(graph, CayleyGraph):
         raise InvalidInputError("boundary container needs a Cayley graph")
@@ -451,15 +486,15 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryCont
         return BoundaryContainer(rec.boundary, True,
                                  rec.boundary.bit_count() / denom if denom else None)
 
-    spec = graph.group
     x_side = rec.side
     y_side = graph.full_mask() & ~x_side
-    powers, c, c_out = graph.chain_inputs()
+    powers, c, _ = graph.chain_inputs()
 
     # trim the closure to a core with controlled growth
-    chain = chain_witness_search(spec, rec.closure, powers, c, mode="greedy")
-    if _untrimmed(chain):
-        # the core is [A] itself, with N^2 and N^3 the level sums
+    chain = chain_witness_search(graph.group, rec.closure, powers, c, mode="greedy")
+    if chain.chain[-1] == rec.closure and len(chain.sums) > 2:
+        # nothing removed and level 2 reached: the core is [A] itself, with
+        # N^2 and N^3 the level sums
         core_rec, (n2_core, n3_core) = rec, chain.sums[1:3]
     else:
         # re-close the core; [core] lies inside [A], because N(core) lies
@@ -479,13 +514,7 @@ def boundary_container(graph: CayleyGraph, rec: ClosedSetRecord) -> BoundaryCont
     outside = y_side & ~g_core
     m_prime = n2_m = n3_m = 0
     if outside:
-        chain_out = chain_witness_search(spec, outside, powers[:3], c_out, mode="greedy")
-        m_prime = chain_out.chain[-1]
-        if _untrimmed(chain_out):
-            n2_m, n3_m = chain_out.sums[1:3]
-        else:
-            n2_m = graph.nbhd_iter(m_prime, 2)
-            n3_m = graph.nbhd(n2_m)
+        m_prime, n2_m, n3_m = _outside_chain(graph, core_rec, outside)
     a2 = n3_m & core
     reachable = light & n2_m
     z3 = neighborhood_cover(graph, reachable, a2)

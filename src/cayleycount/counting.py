@@ -305,8 +305,11 @@ def lucas_number(n: int) -> int:
 # -- small 2-linked closed sets ---------------------------------------------------
 
 
-def _side_mask(graph: Graph, side: str) -> int:
-    """The vertices of side "X" (the first part) or "Y" (the second)."""
+def _side_mask(graph: Graph, side: str, what: str) -> int:
+    """The vertices of side "X" (the first part) or "Y" (the second); `what`
+    names the caller's work in the refusal of a graph without parts."""
+    if graph.parts is None:
+        raise InvalidInputError(f"{what} requires a bipartite graph")
     if side not in ("X", "Y"):
         raise InvalidInputError(f"side must be 'X' or 'Y', got {side!r}")
     return graph.parts[side == "Y"]
@@ -341,9 +344,7 @@ def enumerate_small_2linked_closed(graph: Graph, side: str = "X",
     each state T < S has a square-graph neighbor v in S, and [T + v] lies
     in S, contains the root and is 2-linked.
     """
-    if graph.parts is None:
-        raise InvalidInputError("enumeration requires a bipartite graph")
-    side_mask = _side_mask(graph, side)
+    side_mask = _side_mask(graph, side, "enumeration")
     n = side_mask.bit_count()
     adj = graph.adj
     # (state, N(state)); the empty state's children are the single-vertex
@@ -457,7 +458,7 @@ def orbit_representatives(graph: CayleyGraph,
     least of these, and the number of them equal to A is |Stab(A)|, so the
     orbit has n / |Stab(A)| sets, n = |H| the side size.
     """
-    side_mask = _side_mask(graph, side)
+    side_mask = _side_mask(graph, side, "orbit enumeration")
     n = side_mask.bit_count()
     spec = graph.group
     r = (side_mask & -side_mask).bit_length() - 1
@@ -481,9 +482,7 @@ def container_table(graph: Graph, side: str = "X") -> ContainerTable:
     its bucket.  On a `CayleyGraph` the closed sets come one per
     translation orbit (`orbit_representatives`), each weighted by its
     orbit's size n / |Stab(A)|; any other graph walks every closed set."""
-    if graph.parts is None:
-        raise InvalidInputError("container table requires a bipartite graph")
-    side_mask = _side_mask(graph, side)
+    side_mask = _side_mask(graph, side, "container table")
     table = ContainerTable(n=side_mask.bit_count())
     weighted = (orbit_representatives(graph, side) if isinstance(graph, CayleyGraph)
                 else ((rec, 1) for rec in enumerate_small_2linked_closed(graph, side)))

@@ -181,23 +181,25 @@ class CayleyGraph(Graph):
         # and 0-free, and the parts are the kernel and coset of a map to Z2
         self.vcount, self.adj, self.parts = n, tuple(adj), groups.bipartition(group, gens)
         self._facts = self._route = None
-        self._chain: Optional[tuple[tuple[int, ...], Fraction, Fraction]] = None
+        self._chain: Optional[tuple[tuple[int, ...], sumsets.ChainConstant,
+                                    sumsets.ChainConstant]] = None
         self.group = group
         self.gens = gens
         d = gens.d
         if not all(r.bit_count() == d for r in adj):
             raise InvariantViolation("Cayley graph must be regular")
 
-    def chain_inputs(self) -> tuple[tuple[int, ...], Fraction, Fraction]:
+    def chain_inputs(self) -> tuple[tuple[int, ...], sumsets.ChainConstant,
+                                    sumsets.ChainConstant]:
         """((D, 2D, 3D, 4D), c, c log2 d) with c = log2(d)^2, each constant
-        the nearest fraction of denominator <= 10^6 to its float value;
-        computed once."""
+        the nearest fraction of denominator <= 10^6 to its float value, to
+        depths 3 and 2; computed once."""
         if self._chain is None:
             log_d = math.log2(self.gens.d)
             c = log_d ** 2
+            c_in, c_out = (Fraction(x).limit_denominator(10**6) for x in (c, c * log_d))
             self._chain = (sumsets.chain_powers(self.group, self.gens.mask, 3),
-                           Fraction(c).limit_denominator(10**6),
-                           Fraction(c * log_d).limit_denominator(10**6))
+                           sumsets.chain_constant(c_in, 3), sumsets.chain_constant(c_out, 2))
         return self._chain
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import groups
 from .errors import InstanceTooLargeError, InvalidInputError, InvariantViolation
@@ -177,9 +177,30 @@ class ChainWitness:
     bounds: list[tuple[int, int, int]] = field(default_factory=list)  # (i, lhs, rhs)
 
 
-def _chain_bound(m: int, i: int, c: Fraction, t: int) -> int:
+class ChainConstant(NamedTuple):
+    """An exact chain constant c = num / den >= 4 with its level bounds'
+    coefficients `levels[i]` = ((2i)^(i+1) num^i, den^i), i = 0..k."""
+
+    num: int
+    den: int
+    levels: tuple[tuple[int, int], ...]
+
+
+def chain_constant(c: Fraction | int, k: int) -> ChainConstant:
+    """The ChainConstant of an int or Fraction c >= 4 to depth k."""
+    if not isinstance(c, (int, Fraction)):
+        raise InvalidInputError(f"c must be an int or a Fraction, got {c!r}")
+    num, den = c.numerator, c.denominator
+    if num < 4 * den:
+        raise InvalidInputError("c must be >= 4")
+    return ChainConstant(num, den, tuple(((2 * i) ** (i + 1) * num ** i, den ** i)
+                                         for i in range(k + 1)))
+
+
+def _chain_bound(m: int, i: int, c: ChainConstant, t: int) -> int:
     """floor(m + (2i)^(i+1) c^i t), for t >= 0."""
-    return m + (2 * i) ** (i + 1) * c.numerator ** i * t // c.denominator ** i
+    coef, den = c.levels[i]
+    return m + coef * t // den
 
 
 def chain_powers(spec: GroupSpec, d_set: int, k: int) -> tuple[int, ...]:
@@ -191,14 +212,15 @@ def chain_powers(spec: GroupSpec, d_set: int, k: int) -> tuple[int, ...]:
 
 
 def chain_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int],
-                         c: Fraction | int, mode: str) -> ChainWitness:
+                         c: Fraction | int | ChainConstant, mode: str) -> ChainWitness:
     """Find a chain M = M^(0) >= ... >= M^(k), each step removing at most
     t/c elements, with |M^(i) + (i+1)D| <= m + (2i)^(i+1) c^i t for each
     level 1 <= i <= k.
 
     `powers` is (D, 2D, ..., (k+1)D), so k = len(powers) - 1; a caller that
     searches many M against one D builds them once (`chain_powers`).  `c`
-    is exact, an int or a Fraction.  `mode` is "exhaustive" or "greedy".
+    is exact: an int, a Fraction, or a `chain_constant` of depth >= k that
+    a caller formed once.  `mode` is "exhaustive" or "greedy".
     Exhaustive mode proves existence on small instances (|M| <= CHAIN_CAP);
     greedy mode (repeatedly drop the element whose removal shrinks the
     iterated sumset most) reports success or failure without an existence
@@ -213,23 +235,22 @@ def chain_witness_search(spec: GroupSpec, m_set: int, powers: Sequence[int],
         raise InvalidInputError("k must be >= 1")
     if mode not in ("exhaustive", "greedy"):
         raise InvalidInputError(f"mode must be 'exhaustive' or 'greedy', got {mode!r}")
-    if not isinstance(c, (int, Fraction)):
-        raise InvalidInputError(f"c must be an int or a Fraction, got {c!r}")
-    c_frac = Fraction(c)
-    if c_frac < 4:
-        raise InvalidInputError("c must be >= 4")
+    if not isinstance(c, ChainConstant):
+        c = chain_constant(c, k)
+    elif len(c.levels) <= k:
+        raise InvalidInputError(f"c holds bounds to depth {len(c.levels) - 1}, not {k}")
     m = m_set.bit_count()
     m_sum = sumset(spec, m_set, powers[0])
     t = m_sum.bit_count() - m
     if t < 0:
         raise InvalidInputError("|M + D| < |M|: chain precondition violated")
-    budget = t * c_frac.denominator // c_frac.numerator
+    budget = t * c.den // c.num
 
     if mode == "exhaustive" and m > CHAIN_CAP:
         raise InstanceTooLargeError(f"|M| = {m} exceeds exhaustive cap {CHAIN_CAP}")
 
     # rhs[i] is the level-i bound, floored since lhs is an integer
-    rhs = [_chain_bound(m, i, c_frac, t) for i in range(k + 1)]
+    rhs = [_chain_bound(m, i, c, t) for i in range(k + 1)]
 
     def level_sum(subset: int, i: int) -> Optional[int]:
         """subset + (i+1)D if it meets the level-i bound, else None."""

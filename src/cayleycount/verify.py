@@ -291,6 +291,7 @@ def sweep_chain(max_order: int = 12) -> SweepResult:
     every (M, D) with |M| <= 8 and |D| <= 3 and every depth k <= 2, swept up
     to translation."""
     res = SweepResult("chain")
+    c = sumsets.chain_constant(4, 2)
     for order in range(2, max_order + 1):
         m_sets, d_sets = sets_with_zero(order, 8), sets_with_zero(order, 3)
         for spec in groups.enumerate_abelian_groups(order):
@@ -299,7 +300,7 @@ def sweep_chain(max_order: int = 12) -> SweepResult:
                 for m_set in m_sets:
                     for k in (1, 2):
                         res.checked += 1
-                        wit = sumsets.chain_witness_search(spec, m_set, powers[:k + 1], 4,
+                        wit = sumsets.chain_witness_search(spec, m_set, powers[:k + 1], c,
                                                            mode="exhaustive")
                         if not wit.success:
                             res.violations += 1

@@ -3,7 +3,8 @@
   public method or property of a package class, is used by the package
   itself, not only by tests and exports;
 - every dataclass field of the package is read as an attribute somewhere in
-  `src/`, `tests/` or `perfbench/`;
+  `src/`, `tests/` or `perfbench/`, through a receiver that can be of its
+  class, so a read of a field another class shares does not count for it;
 - every defaulted parameter of a package function is passed, by keyword or
   by position, by some call there or by the CLI's `verify` dispatch;
 - so is every dataclass field with a plain default (a parameter of the
@@ -73,19 +74,144 @@ def _name(node: ast.expr) -> str | None:
     return None
 
 
-def unread_fields(trees: dict[str, ast.Module], code: list[ast.Module]) -> list[str]:
-    """`module.Class.field` for each field of a package dataclass whose name
-    no code reads as an attribute."""
-    read = {node.attr for tree in code for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return [f"{module}.{cls.name}.{stmt.target.id}"
-            for module, tree in trees.items()
-            for cls in tree.body
+def _dataclass_fields(trees: dict[str, ast.Module]) -> dict[str, tuple[str, dict[str, ast.expr]]]:
+    """Class name -> (module, {field: annotation}) for each package dataclass."""
+    return {cls.name: (module, {stmt.target.id: stmt.annotation for stmt in cls.body
+                                if isinstance(stmt, ast.AnnAssign)
+                                and isinstance(stmt.target, ast.Name)})
+            for module, tree in trees.items() for cls in tree.body
             if isinstance(cls, ast.ClassDef)
-            and any(_name(dec) == "dataclass" for dec in cls.decorator_list)
-            for stmt in cls.body
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-            and stmt.target.id not in read]
+            and any(_name(dec) == "dataclass" for dec in cls.decorator_list)}
+
+
+def _named_class(node: ast.expr | None, classes) -> str | None:
+    """The dataclass an annotation names (`C`, `m.C`, `"C"`, `Optional[C]`)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, ast.Subscript) and _name(node.value) == "Optional":
+        node = node.slice
+    name = _name(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+    return name if name in classes else None
+
+
+def _parts(node: ast.expr | None, classes) -> list[str | None] | None:
+    """The dataclasses named by the items of a `tuple[...]` annotation."""
+    if isinstance(node, ast.Subscript) and _name(node.value) == "tuple" \
+            and isinstance(node.slice, ast.Tuple):
+        return [_named_class(item, classes) for item in node.slice.elts]
+    return None
+
+
+class _FieldReads(ast.NodeVisitor):
+    """(class, field) for every attribute read of `code`: the class is the
+    dataclass the receiver is known to be, or None when the scan cannot
+    tell.  A receiver is known when it is a call of a dataclass or of a
+    function annotated to return one, a field annotated with one, or a name
+    every binding of which in its function is one of these (or a parameter
+    annotated with one, or `self` in a dataclass's method)."""
+
+    def __init__(self, classes, returns: dict[str, ast.expr]):
+        self.classes, self.returns = classes, returns
+        self.env: dict[str, str] = {}
+        self.reads: set[tuple[str | None, str]] = set()
+
+    def kind(self, node: ast.expr) -> str | None:
+        if isinstance(node, ast.Name):
+            return self.env.get(node.id)
+        if isinstance(node, ast.Call):
+            callee = _name(node)
+            return callee if callee in self.classes else \
+                _named_class(self.returns.get(callee), self.classes)
+        if isinstance(node, ast.Attribute):
+            owner = self.kind(node.value)
+            if owner is not None:
+                return _named_class(self.classes[owner][1].get(node.attr), self.classes)
+        return None
+
+    def scope(self, node: ast.AST, owner: str | None) -> None:
+        outer = dict(self.env)
+        for _ in range(2):      # a binding may use a name bound after it
+            seen: dict[str, set[str | None]] = {}
+
+            def bind(target, kind):
+                if isinstance(target, ast.Name):
+                    seen.setdefault(target.id, set()).add(kind)
+                elif isinstance(target, (ast.Tuple, ast.List)):
+                    for sub in target.elts:
+                        bind(sub, kind if isinstance(kind, str) else None)
+
+            args = node.args if isinstance(node, (ast.FunctionDef, ast.Lambda)) else None
+            if args is not None:
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                for i, arg in enumerate(params):
+                    self_kind = owner if i == 0 and arg.arg == "self" else None
+                    bind(ast.Name(arg.arg), self_kind or _named_class(arg.annotation, self.classes))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Assign):
+                    parts = (_parts(self.returns.get(_name(sub.value)), self.classes)
+                             if isinstance(sub.value, ast.Call) else None)
+                    for target in sub.targets:
+                        if isinstance(target, ast.Tuple) and parts \
+                                and len(parts) == len(target.elts):
+                            for item, kind in zip(target.elts, parts):
+                                bind(item, kind)
+                        else:
+                            bind(target, self.kind(sub.value))
+                elif isinstance(sub, (ast.AnnAssign, ast.NamedExpr)):
+                    bind(sub.target, _named_class(sub.annotation, self.classes)
+                         if isinstance(sub, ast.AnnAssign) else self.kind(sub.value))
+                elif isinstance(sub, (ast.For, ast.comprehension)):
+                    bind(sub.target, None)
+                elif isinstance(sub, ast.withitem) and sub.optional_vars is not None:
+                    bind(sub.optional_vars, None)
+                elif isinstance(sub, ast.ExceptHandler) and sub.name:
+                    bind(ast.Name(sub.name), None)
+            # a name bound here hides the enclosing scope's; one bound to two
+            # kinds, or to one the scan cannot tell, is unknown
+            local = {name: next(iter(kinds)) if len(kinds) == 1 else None
+                     for name, kinds in seen.items()}
+            self.env = {name: kind for name, kind in {**outer, **local}.items() if kind}
+        self.generic_visit(node)
+        self.env = outer
+
+    def visit_Module(self, node):
+        self.scope(node, None)
+
+    def visit_ClassDef(self, node):
+        owner = node.name if node.name in self.classes else None
+        for stmt in node.body:
+            self.scope(stmt, owner) if isinstance(stmt, ast.FunctionDef) else self.visit(stmt)
+
+    def visit_FunctionDef(self, node):
+        self.scope(node, None)
+
+    def visit_Lambda(self, node):
+        self.scope(node, None)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.reads.add((self.kind(node.value), node.attr))
+        self.generic_visit(node)
+
+
+def unread_fields(trees: dict[str, ast.Module], code: list[ast.Module]) -> list[str]:
+    """`module.Class.field` for each field of a package dataclass that no
+    code reads as an attribute of a receiver that can be of that class: one
+    known to be of it, or one whose class the scan cannot tell."""
+    classes = _dataclass_fields(trees)
+    returns: dict[str, ast.expr] = {}
+    clashes = set()
+    for _, _, fn, _ in _functions(trees):
+        if fn.returns is not None:
+            if fn.name in returns and ast.dump(returns[fn.name]) != ast.dump(fn.returns):
+                clashes.add(fn.name)
+            returns[fn.name] = fn.returns
+    reads = _FieldReads(classes, {k: v for k, v in returns.items() if k not in clashes})
+    for tree in code:
+        reads.visit(tree)
+    return [f"{module}.{cls}.{name}" for cls, (module, fields) in classes.items()
+            for name in fields
+            if (cls, name) not in reads.reads and (None, name) not in reads.reads]
 
 
 def _functions(trees: dict[str, ast.Module]):
@@ -244,6 +370,25 @@ def test_field_scan_finds_an_unread_field():
         "class Plain:\n    unread_yy: int\n")
     code = _code() + [ast.parse("def f(x):\n    x.unread_zz = 1\n    return x.read_zz\n")]
     assert unread_fields(trees, code) == ["extra.Extra.unread_zz"]
+
+
+def test_field_scan_tells_apart_classes_sharing_a_field_name():
+    # Read_zz.shared_zz is read through receivers of every known kind;
+    # Unread_zz.shared_zz only shares its name, so it is reported, until a
+    # receiver the scan cannot place reads the name
+    trees = _trees()
+    trees["extra"] = ast.parse(
+        "@dataclass\nclass Read_zz:\n    shared_zz: int\n    inner_zz: Read_zz\n\n\n"
+        "@dataclass\nclass Unread_zz:\n    shared_zz: int\n\n\n"
+        "def make_zz() -> Optional[Read_zz]:\n    pass\n\n\n"
+        "def pair_zz() -> tuple[int, 'Read_zz']:\n    pass\n")
+    code = _code() + [ast.parse(
+        "def f(x: Read_zz, u: Unread_zz):\n    y = make_zz()\n    _, z = pair_zz()\n"
+        "    Unread_zz(1).shared_zz = 2\n"
+        "    return x.shared_zz + y.shared_zz + z.shared_zz + make_zz().inner_zz.shared_zz\n")]
+    assert unread_fields(trees, code) == ["extra.Unread_zz.shared_zz"]
+    code.append(ast.parse("def g(w):\n    return w.shared_zz\n"))
+    assert unread_fields(trees, code) == []
 
 
 def test_every_defaulted_parameter_is_passed():

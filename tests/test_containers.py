@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleycount import containers
+from cayleycount import containers, sumsets
 from cayleycount.containers import (
     ApproxParams,
     CoverResult,
@@ -34,7 +34,7 @@ from cayleycount.errors import (
 )
 from cayleycount.graphs import Graph, bits_list, build_cayley, closure, iter_bits, mask_of
 from cayleycount.groups import GeneratorSet, coords_to_id, make_group, symmetrize
-from cayleycount.sumsets import chain_witness_search, iterated_sumset, sumset
+from cayleycount.sumsets import chain_constant, chain_witness_search, iterated_sumset, sumset
 from cayleycount.constructions import OddCirculantConfig, build_odd_circulant
 from cayleycount.verify import corpus_graphs, cycle_graph
 
@@ -375,6 +375,62 @@ def test_phi_sampler_with_a_super_vertex_inside_the_closure():
         assert check_phi(g, rec, f_mask)
 
 
+def _phi_sample_from_scratch(graph, rec, c_mask, seed):
+    """phi_approx_sample's (F, retries) outside its degenerate branch,
+    rebuilt from the merge-loop contraction and the definitions: Q0 the
+    sampler's draw from C & G, Z1 the union of N(N(Q0) & R_A) and of
+    N(S) \\ N(S)_d for each super-vertex inside [A] that Q0 meets, cut to
+    G, with Q3 (the phi-heavy vertices of C that Z1 misses) and the
+    vertices of G outside C with all d neighbors in [A]; Z2 the greedy
+    cover of what N(Z1) misses of [A]."""
+    d = regular_degree(graph)
+    log_d = math.log2(d)
+    p = 60.0 * log_d / graph.gens.d2
+    r_mask, supers = _contract_by_merging(graph, c_mask, graph.full_mask() & ~rec.side)
+    inside = [sv for sv in supers if sv.s_mask & ~rec.closure == 0]
+    crossing = [sv for sv in supers if sv.s_mask & ~rec.closure]
+    r_a, r_ac = r_mask & rec.closure, r_mask & ~rec.closure
+    heavy = graph.heavy(rec.nbhd, rec.closure, ApproxParams.for_degree(d).phi)
+    interior = graph.heavy(rec.nbhd, rec.closure, d) & ~c_mask
+    t = rec.t
+    caps = (50.0 * t / log_d**2, containers.PHI_EDGE_COEFF * t / log_d**2,
+            5.0 * t / d**7, 5.0 * t / d**8)
+    for attempt in range(containers.PHI_RETRIES):
+        rng = random.Random(f"phi:{seed}:{attempt}")
+        q0 = mask_of(y for y in bits_list(c_mask & rec.nbhd) if rng.random() < p)
+        z1 = graph.nbhd(graph.nbhd(q0) & r_a)
+        for sv in inside:
+            if sv.nbhd & q0:
+                z1 |= sv.nbhd
+        q3 = heavy & c_mask & ~z1
+        edges = (sum((graph.adj[y] & r_ac).bit_count() for y in bits_list(q0))
+                 + sum((sv.nbhd & q0).bit_count() for sv in crossing))
+        sizes = (q0.bit_count(), edges, sum(1 for sv in inside if not sv.nbhd & q0),
+                 q3.bit_count())
+        if all(size <= cap for size, cap in zip(sizes, caps)):
+            z1 = (z1 & rec.nbhd) | q3 | interior
+            missed = rec.closure & ~graph.nbhd(z1)
+            return z1 | containers.neighborhood_cover(graph, missed, rec.nbhd & ~z1), attempt + 1
+    return None
+
+
+def test_phi_sampler_matches_its_construction_from_scratch():
+    # on the band graph, the one instance whose sampler draws, with C = G':
+    # records with a super-vertex inside the closure (A = N(y)) and without
+    g = big_band_graph()
+    inside_hit = 0
+    for a_mask in (g.adj[1], g.adj[3], mask_of([0, 2]), mask_of([0, 2, 4])):
+        rec = closure(g, a_mask)
+        state = contract(g, rec.boundary, side=g.full_mask() & ~rec.side)
+        inside = split_relative(state, rec)[2]
+        for seed in range(3):
+            f_mask, rep = phi_approx_sample(g, rec, rec.boundary, seed)
+            assert not rep.degenerate
+            assert (f_mask, rep.retries) == _phi_sample_from_scratch(g, rec, rec.boundary, seed)
+            inside_hit += any(sv.nbhd & ~f_mask == 0 for sv in inside)
+    assert inside_hit == 6
+
+
 def _psi_approx_by_restarts(graph, rec, f_mask):
     """psi_approx with each loop restarted from the least vertex after
     every step."""
@@ -502,7 +558,7 @@ def test_boundary_container_core_is_the_closed_chain_end():
     powers = tuple(iterated_sumset(g.group, g.gens.mask, g.gens.mask, i) for i in range(4))
     c = Fraction(math.log2(d) ** 2).limit_denominator(10**6)
     c_out = Fraction(math.log2(d) ** 2 * math.log2(d)).limit_denominator(10**6)
-    assert g.chain_inputs() == (powers, c, c_out)
+    assert g.chain_inputs() == (powers, chain_constant(c, 3), chain_constant(c_out, 2))
     for rec in records:
         bc = boundary_container(g, rec)
         assert not bc.fallback
@@ -562,6 +618,10 @@ def test_boundary_container_matches_the_reclosing_construction(monkeypatch, trim
     # to order 128), so the trimmed branch is forced: a search of depth k in
     # `trimmed` (3 for the core, 2 for M') drops the largest element of M from
     # every later level.  Its level sums are formed anew, as the search would.
+    # M' reaches its search only when a level bound fails on the identity
+    # sizes, so for k = 2 the bound the container checks them against is
+    # made to fail at one level, level 1 for (2,) and level 2 alone for
+    # (2, 3); the search keeps the real bound.
     search = containers.chain_witness_search
     trims = []
 
@@ -576,6 +636,10 @@ def test_boundary_container_matches_the_reclosing_construction(monkeypatch, trim
                        sums=[sumset(spec, s, powers[i]) for i, s in enumerate(chain)])
 
     monkeypatch.setattr(containers, "chain_witness_search", trimming_search)
+    if 2 in trimmed:
+        failing = 1 if trimmed == (2,) else 2
+        monkeypatch.setattr(containers, "_chain_bound",
+                            lambda m, i, c, t: -1 if i == failing else m + 10 ** 9)
     cores_cut = 0
     for graph in (build_odd_circulant(OddCirculantConfig(16, 5)), _non_cyclic_graph()):
         for side in "XY":
@@ -585,6 +649,105 @@ def test_boundary_container_matches_the_reclosing_construction(monkeypatch, trim
                 cores_cut += bc.core != rec.closure
     assert set(trims) == set(trimmed)
     assert (cores_cut > 0) == (3 in trimmed)
+
+
+OUTSIDE_GRAPHS = [build_odd_circulant(OddCirculantConfig(n, d))
+                  for n, d in ((16, 5), (40, 9), (128, 7), (256, 9))] + [_non_cyclic_graph()]
+
+# Level bounds for the outside chain: the real one, one that binds on some
+# records (|G'_core| > 3t/2 at level 1), and one that binds on every record.
+# Patched into both the search and the container, the last two send
+# boundary_container to the search and make the search trim or fail.
+TIGHTER_BOUNDS = {"real": None, "m + 3it/2": lambda m, i, c, t: m + 3 * i * t // 2,
+                  "below m": lambda m, i, c, t: m - 1}
+
+
+def _random_closure(graph, which, seed):
+    """The closure of up to 12 vertices of one side, drawn near one another
+    in id order, so that their neighborhoods overlap."""
+    rng = random.Random(seed)
+    ids = bits_list(graph.parts[which])
+    start, spread = rng.randrange(len(ids)), 3 * graph.degree(0)
+    picks = [ids[(start + rng.randrange(spread)) % len(ids)] for _ in range(rng.randint(1, 12))]
+    return closure(graph, mask_of(picks), graph.parts[which])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(OUTSIDE_GRAPHS), st.sampled_from(sorted(TIGHTER_BOUNDS)),
+       st.integers(0, 1), st.integers(0, 2 ** 32))
+def test_outside_chain_identities_match_the_search(graph, bound, which, seed):
+    core_rec = _random_closure(graph, which, seed)
+    outside = graph.full_mask() & ~core_rec.side & ~core_rec.nbhd
+    powers, _, c_out = graph.chain_inputs()
+    with pytest.MonkeyPatch.context() as patch:
+        if TIGHTER_BOUNDS[bound] is not None:
+            patch.setattr(sumsets, "_chain_bound", TIGHTER_BOUNDS[bound])
+            patch.setattr(containers, "_chain_bound", TIGHTER_BOUNDS[bound])
+        if outside:
+            got = containers._outside_chain(graph, core_rec, outside)
+            m_prime = chain_witness_search(graph.group, outside, powers[:3], c_out,
+                                           mode="greedy").chain[-1]
+            n2_m = graph.nbhd_iter(m_prime, 2)
+            assert got == (m_prime, n2_m, graph.nbhd(n2_m))
+        if core_rec.small:
+            bc = boundary_container(graph, core_rec)
+            assert (bc.c_mask, bc.core) == _boundary_container_by_reclosure(graph, core_rec)
+
+
+def test_tighter_bounds_send_the_outside_chain_to_the_search(monkeypatch):
+    # how many of the same 60 closures of (128, 7) each bound sends to the
+    # search (the trimmed branch after it is forced in
+    # test_boundary_container_matches_the_reclosing_construction)
+    graph = OUTSIDE_GRAPHS[2]
+    search = containers.chain_witness_search
+    runs = []
+    monkeypatch.setattr(containers, "chain_witness_search",
+                        lambda *args, **kwargs: runs.append(1) or search(*args, **kwargs))
+    seen = {}
+    for bound, tighter in TIGHTER_BOUNDS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            if tighter is not None:
+                patch.setattr(sumsets, "_chain_bound", tighter)
+                patch.setattr(containers, "_chain_bound", tighter)
+            runs.clear()
+            for seed in range(60):
+                core_rec = _random_closure(graph, seed % 2, seed)
+                outside = graph.full_mask() & ~core_rec.side & ~core_rec.nbhd
+                containers._outside_chain(graph, core_rec, outside)
+            seen[bound] = len(runs)
+    assert seen["real"] == 0 and 0 < seen["m + 3it/2"] < 60 and seen["below m"] == 60
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 48), st.sampled_from([0.05, 0.2, 0.5, 0.9]), st.integers(0, 2 ** 32))
+def test_cover_multiplicity_from_columns_matches_the_layers(n, density, seed):
+    # a random bipartite graph on evens and odds, a universe on one side and
+    # a pool on the other; the column minimum is the layers' least count,
+    # and the cover and its refusals are the same either way
+    rng = random.Random(seed)
+    adj = [0] * n
+    for u in range(0, n, 2):
+        for v in range(1, n, 2):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    parts = (mask_of(range(0, n, 2)), mask_of(range(1, n, 2)))
+    graph = Graph(adj, parts)
+    which = rng.randrange(2)
+    universe = mask_of(v for v in bits_list(parts[which]) if rng.random() < 0.6)
+    pool = mask_of(v for v in bits_list(parts[1 - which]) if rng.random() < 0.8)
+    verts = bits_list(pool)
+    candidates = [adj[v] for v in verts]
+    layered = _outcome(greedy_cover, universe, candidates)
+    if universe:
+        # an equal bound (|B|/a)(1 + ln b) is an equal a
+        a_min = min((adj[u] & pool).bit_count() for u in iter_bits(universe))
+        assert _outcome(lambda u, c: greedy_cover(u, c, a_min=a_min),
+                        universe, candidates) == layered
+    expected = (mask_of(verts[i] for i in layered.chosen)
+                if isinstance(layered, CoverResult) else layered)
+    assert _outcome(lambda u, _: containers.neighborhood_cover(graph, u, pool),
+                    universe, candidates) == expected
 
 
 def test_boundary_container_nondegenerate_instance():

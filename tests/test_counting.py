@@ -487,6 +487,21 @@ def test_a_side_other_than_x_or_y_is_refused():
             container_table(graph, side)
 
 
+def test_a_graph_without_parts_is_refused_on_every_side():
+    # C5 is a Cayley graph (Z5, D = {1, 4}) with no bipartition; orbit
+    # enumeration is reached only through container_table's own refusal,
+    # and is refused as well when called alone
+    graph = cycle_graph(5)
+    assert graph.parts is None
+    for side in ("X", "Y"):
+        with pytest.raises(InvalidInputError, match="^enumeration requires a bipartite"):
+            list(enumerate_small_2linked_closed(graph, side))
+        with pytest.raises(InvalidInputError, match="^orbit enumeration requires a bipartite"):
+            list(orbit_representatives(graph, side))
+        with pytest.raises(InvalidInputError, match="^container table requires a bipartite"):
+            container_table(graph, side)
+
+
 def test_container_table_c4_empty():
     # C4 is K_{2,2}: singleton closures already cover the whole side
     assert container_table(cycle_graph(4)).entries == {}

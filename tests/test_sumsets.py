@@ -19,6 +19,7 @@ from cayleycount.sumsets import (
     CHAIN_CAP,
     ChainWitness,
     ThinningConfig,
+    chain_constant,
     chain_powers,
     chain_witness_search,
     iterated_growth_check,
@@ -140,6 +141,7 @@ def test_olson_shift_invariance():
     shifted = olson_check(z9, mask_of({0, 1, 5}), mask_of({4, 6}))  # N + 4
     assert base.branch == shifted.branch
     assert base.sum_size == shifted.sum_size
+    assert (base.m, base.n) == (shifted.m, shifted.n) == (3, 2)
 
 
 def test_chain_examples():
@@ -171,10 +173,19 @@ def test_chain_greedy_mode():
     assert wit.success
     one = chain_powers(z64, mask_of({1}), 2)
     for bad in (dict(c=2), dict(mode="auto"), dict(c=4.0), dict(powers=one[:1]),
-                dict(powers=()), dict(powers=(0, 0)), dict(m_set=0)):
+                dict(powers=()), dict(powers=(0, 0)), dict(m_set=0),
+                dict(c=chain_constant(4, 1))):
         args = dict(spec=z64, m_set=mask_of({0}), powers=one, c=4, mode="greedy") | bad
         with pytest.raises(InvalidInputError):
             chain_witness_search(**args)
+    for c in (Fraction(7, 2), 4.0, "4"):
+        with pytest.raises(InvalidInputError):
+            chain_constant(c, 2)
+    # a constant formed once is the constant formed on each call
+    c = Fraction(17, 3)
+    assert chain_witness_search(z64, mask_of(set(range(20))), powers, chain_constant(c, 2),
+                                "greedy") == chain_witness_search(
+        z64, mask_of(set(range(20))), powers, c, "greedy")
 
 
 def _chain_search_with_d(spec, m_set, d_set, k, c, mode):
